@@ -24,6 +24,13 @@ model is a faithful truncation: v(a) <= N-1 for t, v(b) <= 2N-2 for n,
 v(s) >= -(N-1) for d. Canonical words for products are allowed twice the
 t-depth, since products of in-window generators land there. Violations
 raise PreconditionError, never wrap around silently.
+
+Operators are actions on blocks of columns, not stored matrices. Every
+letter except w is monomial (a gather of carrier indices times a phase or
+scalar) and costs O(M) per column, M = p^(2N); w is an index-permuted
+inverse FFT and costs O(M log M) per column. A full projective multiplier
+check therefore takes O(M^2 log M) time and O(M^2) memory. The dense
+matrix of a generator or word is its action applied to the identity.
 """
 
 from __future__ import annotations
@@ -63,25 +70,21 @@ def _sqrt_fraction(x: Fraction):
 
 
 class FiniteWeilModel:
-    """Carrier, exact phase bookkeeping, and the Fourier kernel for one
+    """Carrier, exact phase bookkeeping, and the Fourier transform for one
     (p, N, psi). The additive character must have unit scale so the kernel
     psi(2xy) is well defined pointwise on the carrier."""
 
-    __slots__ = ("p", "N", "psi", "size", "_fourier", "_scale_res")
+    __slots__ = ("p", "N", "psi", "size", "_fourier_index")
 
     def __init__(self, p: int, N: int, psi: AdditiveCharacter):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "size", p ** (2 * N))
-        M = self.size
-        s = psi.scale
-        c2 = (2 * s.numerator * pow(s.denominator, -1, M)) % M
-        object.__setattr__(self, "_scale_res", c2)
-        idx = np.arange(M, dtype=np.int64)
-        phases = (c2 * (np.outer(idx, idx) % M)) % M
-        kernel = np.exp(2j * np.pi * phases / M) * (p ** (-N))
-        object.__setattr__(self, "_fourier", kernel)
+        # psi(2 x_j x_k) = exp(2 pi i c2 j k / M) with c2 = 2 * scale mod M
+        c2 = self._residue(2 * psi.scale)
+        index = c2 * np.arange(self.size, dtype=np.int64) % self.size
+        object.__setattr__(self, "_fourier_index", index)
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteWeilModel is immutable")
@@ -100,19 +103,40 @@ class FiniteWeilModel:
     def negate_index(self, k: int) -> int:
         return (-k) % self.size
 
-    def scale_index(self, k: int, a: Fraction) -> int:
-        """Index of a * x_k; requires v_p(a) >= 0."""
-        v, u = valuation_and_unit(a, self.p)
+    def negate_indices(self) -> np.ndarray:
+        """negate_index(k) for every carrier index k at once."""
+        return -np.arange(self.size, dtype=np.int64) % self.size
+
+    def _residue(self, a: Fraction) -> int:
+        """a mod M for a rational a with p-integral denominator."""
+        return a.numerator * pow(a.denominator, -1, self.size) % self.size
+
+    def _scale_residue(self, a) -> int:
+        a = as_fraction(a)
+        v, _ = valuation_and_unit(a, self.p)
         if v < 0:
             raise PreconditionError(
                 f"substitution by valuation {v} leaves the carrier"
             )
-        M = self.size
-        ur = (u.numerator * pow(u.denominator, -1, M)) % M
-        return (k * ur * self.p**v) % M
+        return self._residue(a)
+
+    def scale_index(self, k: int, a: Fraction) -> int:
+        """Index of a * x_k; requires v_p(a) >= 0."""
+        return k * self._scale_residue(a) % self.size
+
+    def scale_indices(self, a: Fraction) -> np.ndarray:
+        """scale_index(k, a) for every carrier index k at once."""
+        r = self._scale_residue(a)
+        return r * np.arange(self.size, dtype=np.int64) % self.size
+
+    def fourier_block(self, X: np.ndarray) -> np.ndarray:
+        """The transform of fourier() applied along axis 0 of X:
+        (F X)[k] = p^-N sum_j psi(2 x_j x_k) X[j] = p^N ifft(X)[c2 k mod M]."""
+        return self.p**self.N * np.fft.ifft(X, axis=0)[self._fourier_index]
 
     def fourier_matrix(self) -> np.ndarray:
-        return self._fourier
+        """The dense M x M transform kernel, materialised on demand."""
+        return self.fourier_block(np.eye(self.size, dtype=np.complex128))
 
     def __repr__(self):
         return f"FiniteWeilModel(p={self.p}, N={self.N}, scale={self.psi.scale})"
@@ -170,10 +194,7 @@ class ModelFunction:
         return cls(model, v)
 
     def _flip(self) -> np.ndarray:
-        out = np.empty_like(self.values)
-        for k in range(self.model.size):
-            out[self.model.negate_index(k)] = self.values[k]
-        return out
+        return self.values[self.model.negate_indices()]
 
     def even_part(self) -> "ModelFunction":
         return ModelFunction(self.model, (self.values + self._flip()) / 2)
@@ -191,7 +212,7 @@ class ModelFunction:
 def fourier(f: ModelFunction) -> ModelFunction:
     """The transform with kernel psi(2xy) and mass p^-N per point; applying
     it twice gives exactly the parity flip."""
-    return ModelFunction(f.model, f.model.fourier_matrix() @ f.values)
+    return ModelFunction(f.model, f.model.fourier_block(f.values))
 
 
 # generator operators -----------------------------------------------------
@@ -204,31 +225,26 @@ def _check_window(v: int, lo: int, hi: int, what: str):
         )
 
 
-def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False) -> np.ndarray:
-    """Matrix of one generator on the carrier basis.
-
-    gen is a tuple: ("w",), ("n", b), ("t", a), ("d", s), ("central", a),
-    ("sign", xi). For "d" the parameter is the square root s of the torus
-    entry, since the scalar involves chi(s). chi_value is the evaluated
-    character value needed by "d" and "central". extended widens the
-    substitution windows to what products of in-window generators reach.
-    """
+def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False):
+    """One generator as its action X -> op(gen) X on a block of columns X of
+    shape (M, c). Arguments and windows are those of operator()."""
     M, p, N = model.size, model.p, model.N
     kind = gen[0]
     if kind == "w":
-        return gamma(model.psi).value() * model.fourier_matrix()
+        scalar = gamma(model.psi).value()
+        return lambda X: scalar * model.fourier_block(X)
     if kind == "n":
         b = as_fraction(gen[1])
         if b == 0:
-            return np.eye(M, dtype=np.complex128)
+            return lambda X: X
         v, _ = valuation_and_unit(b, p)
         hi = 2 * N - 2 if not extended else 4 * N - 4
         _check_window(v, 0, max(hi, 0), "quadratic phase")
-        diag = np.empty(M, dtype=np.complex128)
-        for k in range(M):
-            x = model.point(k)
-            diag[k] = cmath.exp(2j * math.pi * float(model.psi.phase(b * x * x)))
-        return np.diag(diag)
+        # psi(b x_k^2) = exp(2 pi i (scale b k^2 mod M) / M) with x_k = k / p^N
+        k = np.arange(M, dtype=np.int64)
+        residues = model._residue(model.psi.scale * b) * (k * k % M) % M
+        phases = np.exp(2j * np.pi * (residues / M))[:, None]
+        return lambda X: phases * X
     if kind == "t":
         a = as_fraction(gen[1])
         if a == 0:
@@ -237,10 +253,8 @@ def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False
         hi = N - 1 if not extended else 2 * N - 2
         _check_window(v, 0, max(hi, 0), "torus substitution")
         scalar = p ** (-v / 2) * mu(a, model.psi).value()
-        out = np.zeros((M, M), dtype=np.complex128)
-        for k in range(M):
-            out[k, model.scale_index(k, a)] = scalar
-        return out
+        index = model.scale_indices(a)
+        return lambda X: scalar * X[index]
     if kind == "d":
         s = as_fraction(gen[1])
         if s == 0:
@@ -251,39 +265,64 @@ def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False
         lo = -(N - 1) if not extended else -(2 * N - 2)
         _check_window(v, min(lo, 0), 0, "inverse substitution")
         scalar = complex(chi_value) * p ** (v / 2)
-        out = np.zeros((M, M), dtype=np.complex128)
-        for k in range(M):
-            out[k, model.scale_index(k, 1 / s)] = scalar
-        return out
+        index = model.scale_indices(1 / s)
+        return lambda X: scalar * X[index]
     if kind == "central":
         a = as_fraction(gen[1])
         if chi_value is None:
             raise DomainError("central generator needs the character value at a")
-        return complex(chi_value) * mu(a, model.psi).value() * np.eye(M, dtype=np.complex128)
+        scalar = complex(chi_value) * mu(a, model.psi).value()
+        return lambda X: scalar * X
     if kind == "sign":
         xi = gen[1]
         if xi not in (1, -1):
             raise DomainError(f"cover sign must be +-1, got {xi}")
-        return float(xi) * np.eye(M, dtype=np.complex128)
+        return lambda X: float(xi) * X
     raise DomainError(f"unknown generator {gen!r}")
 
 
-def apply_generator(model: FiniteWeilModel, gen, f: ModelFunction, chi_value=None) -> ModelFunction:
-    return ModelFunction(model, operator(model, gen, chi_value=chi_value) @ f.values)
+def _identity(model: FiniteWeilModel) -> np.ndarray:
+    return np.eye(model.size, dtype=np.complex128)
 
 
-def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -> np.ndarray:
-    """Operator of a generator word (left factor acts last, as in function
-    composition). chi is a value oracle used by d/central letters."""
-    out = np.eye(model.size, dtype=np.complex128)
+def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False) -> np.ndarray:
+    """Matrix of one generator on the carrier basis: its action applied to
+    the identity.
+
+    gen is a tuple: ("w",), ("n", b), ("t", a), ("d", s), ("central", a),
+    ("sign", xi). For "d" the parameter is the square root s of the torus
+    entry, since the scalar involves chi(s). chi_value is the evaluated
+    character value needed by "d" and "central". extended widens the
+    substitution windows to what products of in-window generators reach.
+    """
+    return _letter(model, gen, chi_value=chi_value, extended=extended)(_identity(model))
+
+
+def _word_action(model: FiniteWeilModel, word, chi=None, extended: bool = False):
+    """The action of a generator word on a block of columns. Every letter is
+    validated, left to right, before anything is applied."""
+    letters = []
     for gen in word:
         cv = None
         if gen[0] in ("d", "central"):
             if chi is None:
                 raise DomainError("word contains a chi-dependent letter")
             cv = chi.value(gen[1])
-        out = out @ operator(model, gen, chi_value=cv, extended=extended)
-    return out
+        letters.append(_letter(model, gen, chi_value=cv, extended=extended))
+
+    def act(X):
+        for letter in reversed(letters):
+            X = letter(X)
+        return X
+
+    return act
+
+
+def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -> np.ndarray:
+    """Operator of a generator word (left factor acts last, as in function
+    composition): the letters applied right to left to the identity. chi is
+    a value oracle used by d/central letters."""
+    return _word_action(model, word, chi=chi, extended=extended)(_identity(model))
 
 
 # canonical words and the empirical multiplier ----------------------------
@@ -319,15 +358,18 @@ def operator_for_matrix(model: FiniteWeilModel, mat, chi=None) -> np.ndarray:
 
 def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     """The scalar c with op(g) op(h) = c op(gh), extracted from the operator
-    matrices of the canonical words. Raises ModelInconsistencyError if the
-    two sides are not proportional within tolerance (1e-6 relative)."""
-    og = operator_for_matrix(model, g, chi=chi)
-    oh = operator_for_matrix(model, h, chi=chi)
+    matrices of the canonical words. Both M x M sides are materialised and
+    compared entry by entry; raises ModelInconsistencyError if they are not
+    proportional within tolerance (1e-6 relative)."""
+    act_g = _word_action(model, canonical_word(g), chi=chi, extended=True)
+    act_h = _word_action(model, canonical_word(h), chi=chi, extended=True)
     gh = g.compose(h) if hasattr(g, "compose") else None
     if gh is None:
         raise DomainError("g and h must be composable matrix blocks")
-    ogh = operator_for_matrix(model, gh, chi=chi)
-    prod = og @ oh
+    act_gh = _word_action(model, canonical_word(gh), chi=chi, extended=True)
+    # op(g) op(h) as g's word acting on the columns of op(h): no matmul
+    prod = act_g(act_h(_identity(model)))
+    ogh = act_gh(_identity(model))
     k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
     if abs(ogh[k]) < OP_TOL:
         raise ModelInconsistencyError("product word operator vanished")
@@ -361,11 +403,9 @@ def parity_invariance_check(model: FiniteWeilModel, gen, chi_value=None) -> bool
     """True iff the generator's operator commutes with the parity flip,
     i.e. preserves the even/odd decomposition."""
     op = operator(model, gen, chi_value=chi_value)
-    M = model.size
-    perm = np.zeros((M, M))
-    for k in range(M):
-        perm[model.negate_index(k), k] = 1.0
-    return bool(np.max(np.abs(perm @ op @ perm - op)) < OP_TOL)
+    neg = model.negate_indices()
+    # P op P for the flip permutation P is op with rows and columns negated
+    return bool(np.max(np.abs(op[np.ix_(neg, neg)] - op)) < OP_TOL)
 
 
 def whittaker_eigen_check(model: FiniteWeilModel, b_index: int, c) -> bool:
@@ -459,17 +499,16 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
         ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
     croot = _sqrt_fraction(a)
     if croot is not None:
-        # explicit intertwiner T f(x) = f(c x) between the two models
-        M = model.size
-        T = np.zeros((M, M))
-        for k in range(M):
-            T[k, model.scale_index(k, croot)] = 1.0
+        # explicit intertwiner T f(x) = f(c x) between the two models: T is
+        # the permutation gathering rows by idx, so T op = op[idx] and
+        # (op' T)[:, idx] = op'; compare both sides with columns gathered
+        idx = model.scale_indices(croot)
         gens = [("w",), ("n", 2), ("t", 2)]
         if model.N >= 2:
             gens.append(("t", p))
         for gen in gens:
-            lhs = T @ operator(model, gen)
-            rhs = operator(twisted, gen) @ T
+            lhs = operator(model, gen)[np.ix_(idx, idx)]
+            rhs = operator(twisted, gen)
             ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
     return bool(ok)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from metaplectic import cli
 from metaplectic.cli import (
     Case,
     ingest_satake,
@@ -100,6 +101,19 @@ def test_run_cases_statuses():
     assert only_a["summary"]["total"] == 2
     timed = run_cases("demo", cases[:1], timings=True)
     assert timed["cases"][0]["elapsed"] is not None
+
+
+def test_unexpected_case_exception_is_an_error_row(monkeypatch, capsys):
+    def boom():
+        raise KeyError(17)
+
+    rep = run_cases("demo", [Case("a/boom", "x", boom), Case("a/good", "y", lambda: (1, 1))])
+    row = rep["cases"][0]
+    assert (row["status"], row["got"]) == ("error", "KeyError: 17")
+    assert rep["summary"]["pass"] == 1  # the report went on past the error
+    monkeypatch.setitem(cli._SUITES, "symbols", lambda rng: [Case("symbols/boom", "x", boom)])
+    assert main(["suite", "symbols"]) == 1
+    assert "got 'KeyError: 17'" in capsys.readouterr().out
 
 
 # exit codes and outputs -------------------------------------------------------
@@ -227,6 +241,19 @@ def test_weilrep_suite_config(capsys):
     assert main(["suite", "weilrep", "--p", "5", "--N", "1"]) == 0
     out = capsys.readouterr().out
     assert "@(5,1)" in out
+
+
+def test_least_nonresidue():
+    want = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 19: 2, 23: 5, 71: 7}
+    assert {p: cli._least_nonresidue(p) for p in want} == want
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_weilrep_suite_past_small_primes(p, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["suite", "weilrep", "--p", str(p), "--json", str(path)]) == 0
+    summary = json.loads(path.read_text())["summary"]
+    assert summary["pass"] == summary["total"] == 7
 
 
 # ingestion ------------------------------------------------------------------------

@@ -2,20 +2,27 @@
 multipliers against the closed cocycle formulas, parity, evaluation
 functionals, twisting, and small tensor blocks."""
 
+import cmath
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metaplectic.cocycle import UnramifiedCharacter, kubota_sl2, sl2
+from metaplectic import weil_rep
+from metaplectic.cocycle import UnramifiedCharacter, gl2, kubota_sl2, sl2
 from metaplectic.errors import (
     DomainError,
+    ModelInconsistencyError,
     PreconditionError,
     UnsupportedDomainError,
 )
-from metaplectic.local_arith import Place, hilbert
+from metaplectic.local_arith import Place, hilbert, valuation_and_unit
 from metaplectic.weil_index import gamma, mu
 from metaplectic.weil_rep import (
     FiniteWeilModel,
@@ -278,8 +285,6 @@ def test_multiplier_cocycle_identity(p, N):
 
 
 def test_multiplier_with_square_determinant_blocks():
-    from metaplectic.cocycle import gl2
-
     chi = UnramifiedCharacter(Place.finite(3), at_uniformizer=Fraction(2))
     m = build_model(3, 2)
     g = gl2(2, 0, 0, 2)  # central, det 4
@@ -430,3 +435,139 @@ def test_weyl_operator_value():
     m = build_model(7, 1)
     assert gamma(m.psi).value() == 1
     assert np.max(np.abs(operator(m, ("w",)) - m.fourier_matrix())) < 1e-12
+
+
+# dense oracle --------------------------------------------------------------------
+#
+# The dense construction the library used before operators became actions,
+# rebuilt point by point from psi.phase, scale_index and the explicit
+# transform kernel psi(2xy) p^-N. Phases come from Fraction arithmetic and
+# products from dense matmul, with no FFT and no vectorised indices; only the
+# substitution residue inside scale_index is shared with the letter actions.
+
+
+@functools.cache
+def dense_fourier(m):
+    pts = m.points()
+    return np.array(
+        [[cmath.exp(2j * math.pi * float(m.psi.phase(2 * x * y))) for y in pts] for x in pts]
+    ) * m.p ** (-m.N)
+
+
+def dense_operator(m, gen, chi_value=None):
+    M, p = m.size, m.p
+    kind = gen[0]
+    if kind == "w":
+        return gamma(m.psi).value() * dense_fourier(m)
+    if kind == "n":
+        b = Fraction(gen[1])
+        return np.diag(
+            [cmath.exp(2j * math.pi * float(m.psi.phase(b * x * x))) for x in m.points()]
+        )
+    if kind in ("t", "d"):
+        a = Fraction(gen[1])
+        v, _ = valuation_and_unit(a, p)
+        if kind == "t":
+            target, scalar = a, p ** (-v / 2) * mu(a, m.psi).value()
+        else:
+            target, scalar = 1 / a, complex(chi_value) * p ** (v / 2)
+        out = np.zeros((M, M), dtype=np.complex128)
+        for k in range(M):
+            out[k, m.scale_index(k, target)] = scalar
+        return out
+    if kind == "central":
+        return complex(chi_value) * mu(Fraction(gen[1]), m.psi).value() * np.eye(M)
+    return float(gen[1]) * np.eye(M)
+
+
+def dense_word(m, word, chi=None):
+    out = np.eye(m.size, dtype=np.complex128)
+    for gen in word:
+        cv = chi.value(gen[1]) if gen[0] in ("d", "central") else None
+        out = out @ dense_operator(m, gen, cv)
+    return out
+
+
+ORACLE_MODELS = [(3, 1), (3, 2), (5, 1)]
+
+
+def _oracle_generators(p, N):
+    gens = [("w",), ("n", 1), ("n", 2), ("n", Fraction(-2, 7)), ("t", 2), ("t", -1),
+            ("t", Fraction(4, 7)), ("d", 2), ("d", Fraction(1, 2)), ("central", 2),
+            ("central", p), ("sign", 1), ("sign", -1)]
+    if N >= 2:
+        gens += [("n", p), ("n", 2 * p * p), ("t", p), ("t", 2 * p), ("d", Fraction(1, p))]
+    return gens
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_operator_matches_dense_oracle(p, N):
+    m = build_model(p, N, scale=Fraction(2, 5) if (p, N) == (3, 2) else 1)
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
+    for gen in _oracle_generators(p, N):
+        cv = chi.value(gen[1]) if gen[0] in ("d", "central") else None
+        got = operator(m, gen, chi_value=cv)
+        assert np.max(np.abs(got - dense_operator(m, gen, cv))) < 1e-12, gen
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_words_and_fourier_match_dense_oracle(p, N):
+    m = build_model(p, N)
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
+    mats = _sample_blocks(p, N) + [sl2(7, 3, 2, 1), gl2(2, 0, 0, 2), gl2(2, 4, 1, 4)]
+    for g in mats:
+        word = canonical_word(g)
+        got = op_of_word(m, word, chi=chi, extended=True)
+        assert np.max(np.abs(got - dense_word(m, word, chi))) < 1e-12, word
+    f = ModelFunction.random(m, random.Random(3))
+    assert np.max(np.abs(fourier(f).values - dense_fourier(m) @ f.values)) < 1e-12
+    assert np.max(np.abs(m.fourier_matrix() - dense_fourier(m))) < 1e-12
+
+
+_cached_model = functools.cache(build_model)
+
+
+def test_multiplier_rejects_non_proportional_sides(monkeypatch):
+    m = build_model(3, 1)
+    g = h = sl2(1, 1, 0, 1)
+    assert snap_sign(projective_multiplier(g, h, m)) == 1
+    letter = weil_rep._letter
+
+    def corrupted(model, gen, *args, **kwargs):
+        act = letter(model, gen, *args, **kwargs)
+        if gen[0] != "n":
+            return act
+
+        def flipped(X):
+            # the phase at one carrier point comes out with the wrong sign
+            out = act(X).copy()
+            out[1] *= -1
+            return out
+
+        return flipped
+
+    monkeypatch.setattr(weil_rep, "_letter", corrupted)
+    # op(g) op(h) carries the flip twice, op(gh) once: one row of the
+    # product disagrees with every other by a sign
+    with pytest.raises(ModelInconsistencyError):
+        projective_multiplier(g, h, m)
+
+
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    u=st.integers(min_value=1, max_value=60),
+    w=st.integers(min_value=1, max_value=60),
+    signs=st.tuples(st.booleans(), st.booleans()),
+    vals=st.tuples(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_torus_multiplier_is_hilbert_symbol_hypothesis(p, u, w, signs, vals):
+    # units u, w prime to p, times a uniformizer power; the depth-two model
+    # is only needed (and only built) when a uniformizer is drawn
+    if u % p == 0 or w % p == 0:
+        return
+    a = (-1 if signs[0] else 1) * u * p ** vals[0]
+    b = (-1 if signs[1] else 1) * w * p ** vals[1]
+    m = _cached_model(p, 2 if any(vals) else 1)
+    c = projective_multiplier(sl2(a, 0, 0, Fraction(1, a)), sl2(b, 0, 0, Fraction(1, b)), m)
+    assert snap_sign(c) == hilbert(a, b, m.place)
