@@ -41,7 +41,6 @@ from .errors import (
 )
 from .local_arith import (
     Place,
-    TruncatedSeries,
     hilbert,
     is_prime,
     legendre,
@@ -61,7 +60,9 @@ from .symsq import (
     rs_factorization_check,
     schur_jt,
     schur_tableau_oracle,
+    sym_square_series,
     tate_factor_ratio,
+    toral_series,
     unramified_zeta_check,
 )
 from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
@@ -135,6 +136,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DataError(f"not a rational: {text!r} ({exc})") from exc
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
 
 
 def parse_place(text: str) -> Place:
@@ -760,16 +771,9 @@ def cmd_lfactor(args) -> int:
 
 def cmd_zeta(args) -> int:
     sat = _sat_from_args(args)
-    ok = unramified_zeta_check(sat, args.deg)
-    chi = sat.chi_val
-    inv = Fraction(1) / chi
-    sym_inv = local_factors(sat).sym.substituted(inv).inverse_series(args.deg)
-    correction = [Fraction(0)] * (args.deg + 1)
-    correction[0] = Fraction(1)
-    if sat.r <= args.deg:
-        correction[sat.r] = -(chi**sat.r) * sat.omega_val**2 * inv**sat.r
-    series = sym_inv * TruncatedSeries(correction)
-    print(f"toral series coefficients: {render([series[k] for k in range(args.deg + 1)])}")
+    series = toral_series(sat, args.deg)
+    ok = series == sym_square_series(sat, args.deg)
+    print(f"toral series coefficients: {render(list(series.coeffs))}")
     print(f"identity to X^{args.deg}: {render(ok)}")
     return 0 if ok else 1
 
@@ -942,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--alphas", required=True, help="comma-separated rationals")
     pz.add_argument("--chi", default="1")
     pz.add_argument("--q", type=int, required=True)
-    pz.add_argument("--deg", type=int, default=10)
+    pz.add_argument("--deg", type=_nonnegative_int, default=10)
     pz.set_defaults(fn=cmd_zeta)
 
     pl = sub.add_parser("lfactor", help="local factors: symmetric, exterior, product")

@@ -22,6 +22,7 @@ form delta_Q(t)^{s - 1/4} chi^{1/2}(det t) per term.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -129,7 +130,7 @@ class SatakeData:
             raise DomainError("Satake values must be nonzero")
         if q < 2:
             raise DomainError("residue size must be at least 2")
-        if chi_val != RAMIFIED and not isinstance(chi_val, complex):
+        if chi_val != RAMIFIED:
             chi_val = as_fraction(chi_val)
             if chi_val == 0:
                 raise DomainError("character value must be nonzero")
@@ -167,6 +168,68 @@ def _poly_mul(a, b):
     return out
 
 
+# exact kernels over the integers ----------------------------------------------
+#
+# A check clears its rationals to integers over one common denominator D,
+# runs its loops on Python ints, and divides by a power of D once per result.
+
+
+def _check_degree(degree: int):
+    if degree < 0:
+        raise DomainError(f"truncation degree must be nonnegative, got {degree}")
+
+
+def _scaled_to_integers(values):
+    """Integers n_i and one common denominator D with values[i] = n_i / D."""
+    values = [as_fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _complete_homogeneous(ints, top_degree: int):
+    """h_0 .. h_top of the integers, the series of prod 1/(1 - x t): one
+    pass of h_k += x h_{k-1} per variable."""
+    h = [1] + [0] * top_degree
+    for x in ints:
+        for k in range(1, top_degree + 1):
+            h[k] += x * h[k - 1]
+    return h
+
+
+def _bareiss_det(mat) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination, swapping rows at a zero pivot; every division is exact.
+    Overwrites mat."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot, row_k = mat[k][k], mat[k]
+        for row in mat[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * row_k[j]) // prev
+        prev = pivot
+    return sign * mat[n - 1][n - 1]
+
+
+def _jacobi_trudi(parts, h) -> int:
+    """det[h_{lambda_i - i + j}] for a table h = h_k(D * values), which is
+    D^|lambda| times the Schur value. h must reach lambda_1 + len - 1."""
+    n = len(parts)
+    return _bareiss_det(
+        [[h[k] if k >= 0 else 0 for k in range(lam - i, lam - i + n)]
+         for i, lam in enumerate(parts)]
+    )
+
+
 class LocalFactor:
     """A local L-factor stored by its reciprocal polynomial P, meaning
     L = 1/P at X = q^{-s}. P(0) = 1 always."""
@@ -191,10 +254,13 @@ class LocalFactor:
     @classmethod
     def from_linear_factors(cls, roots_scaled):
         """prod (1 - c X) over the given c values."""
-        poly = [Fraction(1)]
-        for c in roots_scaled:
-            poly = _poly_mul(poly, [Fraction(1), -as_fraction(c)])
-        return cls(poly)
+        ints, den = _scaled_to_integers(roots_scaled)
+        poly = [1]
+        for c in ints:
+            poly.append(0)
+            for k in range(len(poly) - 1, 0, -1):
+                poly[k] -= c * poly[k - 1]
+        return cls([Fraction(c, den**k) for k, c in enumerate(poly)])
 
     @property
     def degree(self) -> int:
@@ -237,8 +303,7 @@ class QPower:
     __slots__ = ("coef", "q_exp", "s_coef")
 
     def __init__(self, coef, q_exp=0, s_coef=0):
-        coef = coef if isinstance(coef, complex) else as_fraction(coef)
-        q_exp, s_coef = as_fraction(q_exp), as_fraction(s_coef)
+        coef, q_exp, s_coef = as_fraction(coef), as_fraction(q_exp), as_fraction(s_coef)
         if coef == 0:
             q_exp = s_coef = Fraction(0)
         object.__setattr__(self, "coef", coef)
@@ -285,61 +350,21 @@ class QPower:
 # Schur polynomials: two independent algorithms --------------------------------
 
 
-def _complete_homogeneous(values, top_degree: int):
-    """h_0 .. h_top as exact values, via the series of prod 1/(1 - x t)."""
-    poly = [Fraction(1)]
-    for x in values:
-        poly = _poly_mul(poly, [Fraction(1), -as_fraction(x)])
-    series = TruncatedSeries.from_polynomial(poly, top_degree).inverse()
-    return [series[k] for k in range(top_degree + 1)]
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                mat[r][c] -= factor * mat[col][c]
-    return det
-
-
 def schur_jt(partition, values) -> Fraction:
     """Schur polynomial via the determinant of complete homogeneous
     symmetric polynomials (the production path)."""
     if not isinstance(partition, Partition):
         partition = Partition(partition)
-    values = [as_fraction(v) for v in values]
+    ints, den = _scaled_to_integers(values)
     n = partition.length
-    if n > len(values):
+    if n > len(ints):
         raise DomainError(
             f"partition with {n} parts needs at least {n} values"
         )
     if n == 0:
         return Fraction(1)
-    top = partition.parts[0] + n
-    h = _complete_homogeneous(values, top)
-
-    def h_at(k):
-        return h[k] if 0 <= k <= top else Fraction(0)
-
-    rows = [
-        [h_at(partition.parts[i] - (i + 1) + (j + 1)) for j in range(n)]
-        for i in range(n)
-    ]
-    return _det_fraction(rows)
+    h = _complete_homogeneous(ints, partition.parts[0] + n - 1)
+    return Fraction(_jacobi_trudi(partition.parts, h), den**partition.size)
 
 
 def schur_tableau_oracle(partition, values) -> Fraction:
@@ -483,31 +508,43 @@ def toral_q_values(partition, sat: SatakeData, chi_sqrt_val=None, omega_val=None
 def even_partition_gf(sat: SatakeData, degree: int) -> TruncatedSeries:
     """Sum over even dominant partitions with at most r-1 parts of the
     Schur value times X^{half the weight}, truncated at X^degree."""
-    if degree < 0:
-        raise DomainError("truncation degree must be nonnegative")
+    _check_degree(degree)
+    ints, den = _scaled_to_integers(sat.alphas)
+    h = _complete_homogeneous(ints, 2 * degree + sat.r)
     coeffs = []
     for m in range(degree + 1):
-        total = Fraction(0)
-        for lam in even_dominant_partitions(m, sat.r - 1):
-            total += schur_jt(lam, sat.alphas)
-        coeffs.append(total)
+        total = sum(_jacobi_trudi(lam.parts, h) for lam in even_dominant_partitions(m, sat.r - 1))
+        coeffs.append(Fraction(total, den ** (2 * m)))
     return TruncatedSeries(coeffs)
+
+
+def sym_square_series(sat: SatakeData, degree: int) -> TruncatedSeries:
+    """prod_{i<=j}(1 - a_i a_j X)^{-1} (1 - omega^2 X^r) to X^degree: the
+    symmetric-square factor divided by the degree-r twist factor, in the
+    variable X = chi(w) q^{-2s+1/2} of unramified_zeta_check."""
+    _check_degree(degree)
+    ints, den = _scaled_to_integers(sat.alphas)
+    r = sat.r
+    h = _complete_homogeneous(
+        [ints[i] * ints[j] for i in range(r) for j in range(i, r)], degree
+    )
+    omega2 = math.prod(ints) ** 2
+    return TruncatedSeries(
+        [
+            Fraction(h[k] - omega2 * h[k - r] if k >= r else h[k], den ** (2 * k))
+            for k in range(degree + 1)
+        ]
+    )
 
 
 def even_partition_identity_check(sat: SatakeData, degree: int = 10) -> bool:
     """prod_{i<=j}(1 - a_i a_j X)^{-1} equals the even-partition generating
-    function times (1 - omega^2 X^r)^{-1}, to the given order."""
+    function times (1 - omega^2 X^r)^{-1}, to the given order. Checked in
+    the equivalent form gf = sym_square_series, since 1 - omega^2 X^r is a
+    unit of the truncated series ring."""
     if not sat.is_exact():
         raise PreconditionError("identity checks need exact Satake values")
-    pairs = [
-        sat.alphas[i] * sat.alphas[j]
-        for i in range(sat.r)
-        for j in range(i, sat.r)
-    ]
-    lhs = LocalFactor.from_linear_factors(pairs).inverse_series(degree)
-    omega_poly = [Fraction(1)] + [Fraction(0)] * (sat.r - 1) + [-sat.omega_val**2]
-    rhs = even_partition_gf(sat, degree) * LocalFactor(omega_poly).inverse_series(degree)
-    return lhs == rhs
+    return even_partition_gf(sat, degree) == sym_square_series(sat, degree)
 
 
 # local factors --------------------------------------------------------------------
@@ -547,26 +584,28 @@ def rs_factorization_check(sat: SatakeData) -> bool:
 # the toral zeta computation ---------------------------------------------------------
 
 
-def unramified_zeta_check(sat: SatakeData, degree: int = 10, chi_sqrt_val=None) -> bool:
-    """Assembles the toral sum of Whittaker times both semi-Whittaker
-    values times delta_Q^s delta_B^{-1} term by term, verifies that every
-    q-power collapses onto the substitution X = chi(w) q^{-2s+1/2}, and
-    compares the resulting series against the symmetric-square factor
-    divided by the degree-r twist factor."""
+def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> TruncatedSeries:
+    """The toral sum of Whittaker times both semi-Whittaker values times
+    delta_Q^s delta_B^{-1}, assembled term by term as QPower products, in
+    the variable X = chi(w) q^{-2s+1/2}. Raises PreconditionError on any
+    term whose q-power fails to collapse onto that substitution."""
     if sat.chi_val == RAMIFIED:
         raise PreconditionError("the toral computation needs an unramified twist")
     if not sat.is_exact():
         raise PreconditionError("identity checks need exact Satake values")
-    r, chi = sat.r, sat.chi_val
+    _check_degree(degree)
+    r, chi, omega = sat.r, sat.chi_val, sat.omega_val
+    ints, den = _scaled_to_integers(sat.alphas)
+    h = _complete_homogeneous(ints, 2 * degree + r)
     series = []
     for m in range(degree + 1):
-        total = Fraction(0)
+        total, scale = Fraction(0), den ** (2 * m)
         for lam in even_dominant_partitions(m, r - 1):
-            vec = lam.padded(r)
-            w = shintani_whittaker(vec, sat)
-            q_val, q_prime_val = toral_q_values(lam, sat, chi_sqrt_val)
             e_b = modulus_exponent("borel", lam, r)
             e_q = modulus_exponent("corank-one", lam, r)
+            # the Whittaker value, as shintani_whittaker gives it
+            w = QPower(Fraction(_jacobi_trudi(lam.parts, h), scale), Fraction(-e_b, 2))
+            q_val, q_prime_val = toral_q_values(lam, sat, chi_sqrt_val, omega)
             term = (
                 w
                 * q_val
@@ -583,16 +622,15 @@ def unramified_zeta_check(sat: SatakeData, degree: int = 10, chi_sqrt_val=None) 
                 )
             total += term.coef / chi**m
         series.append(total)
-    toral = TruncatedSeries(series)
+    return TruncatedSeries(series)
 
-    sym = local_factors(sat).sym
-    # L(2s - 1/2, sym^2 twist) in the X variable: q^{-(2s-1/2)} = X / chi
-    lhs = sym.substituted(Fraction(1) / chi).inverse_series(degree)
-    # L(r(2s - 1/2), chi^r omega^2)^{-1} in the X variable
-    tail_coeff = chi**r * sat.omega_val**2 * (Fraction(1) / chi) ** r
-    tail = [Fraction(1)] + [Fraction(0)] * (r - 1) + [-tail_coeff]
-    rhs = TruncatedSeries.from_polynomial(tail, degree)
-    return toral == lhs * rhs
+
+def unramified_zeta_check(sat: SatakeData, degree: int = 10, chi_sqrt_val=None) -> bool:
+    """Compares the toral sum (toral_series) against the symmetric-square
+    factor L(2s - 1/2, sym^2 x chi) divided by the degree-r twist factor
+    L(r(2s - 1/2), chi^r omega^2), both in X = chi(w) q^{-2s+1/2}, where
+    the twist factor's reciprocal is 1 - omega^2 X^r."""
+    return toral_series(sat, degree, chi_sqrt_val) == sym_square_series(sat, degree)
 
 
 # Tate factors and intertwiner ratios --------------------------------------------------

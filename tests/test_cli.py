@@ -20,6 +20,7 @@ from metaplectic.cli import (
     run_cases,
 )
 from metaplectic.errors import DataError
+from metaplectic.local_arith import TruncatedSeries
 
 
 # parsing helpers ----------------------------------------------------------
@@ -174,6 +175,26 @@ def test_zeta_command(capsys):
     out = capsys.readouterr().out
     assert "toral series coefficients: [1, 3, 5, 7, 9, 11, 13]" in out
     assert "identity to X^6: true" in out
+
+
+def test_zeta_prints_the_toral_sum_it_checked(capsys, monkeypatch):
+    # with the symmetric-square side broken, the toral sum is still printed
+    monkeypatch.setattr(
+        cli, "sym_square_series", lambda sat, degree: TruncatedSeries.one(degree)
+    )
+    code = main(["zeta", "--r", "2", "--alphas", "1,1", "--q", "7", "--deg", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "toral series coefficients: [1, 3, 5, 7, 9, 11, 13]" in out
+    assert "identity to X^6: false" in out
+
+
+def test_zeta_negative_degree_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--r", "2", "--alphas", "1,1", "--q", "7", "--deg", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--deg" in err and "got -1" in err
 
 
 def test_poles_command(capsys):

@@ -9,12 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from metaplectic import symsq
 from metaplectic.errors import (
     ConvergenceDomainError,
     DomainError,
     PreconditionError,
 )
+from metaplectic.local_arith import TruncatedSeries
 from metaplectic.symsq import (
     POLE,
     RAMIFIED,
@@ -35,10 +39,13 @@ from metaplectic.symsq import (
     rs_factorization_check,
     schur_jt,
     schur_tableau_oracle,
+    _bareiss_det,
     shintani_whittaker,
+    sym_square_series,
     tate_factor,
     tate_factor_ratio,
     toral_q_values,
+    toral_series,
     unramified_zeta_check,
 )
 
@@ -477,3 +484,138 @@ def test_euler_product_edges():
         euler_product([SatakeData(1, [Fraction(9)], 3)], 1)
     ram = SatakeData(1, [1], 5, chi_val=RAMIFIED)
     assert euler_product([ram], 0.2) == 1
+
+
+# exact integer kernels against independent oracles -------------------------------
+
+
+def _det_fraction(rows):
+    """Gaussian elimination over Q: the oracle for the Bareiss determinant."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            factor = mat[r][col] * inv
+            if factor == 0:
+                continue
+            for c in range(col, n):
+                mat[r][c] -= factor * mat[col][c]
+    return det
+
+
+_SQUARE_INT_MATRICES = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(rows=_SQUARE_INT_MATRICES)
+@example(rows=[[0, 1], [1, 0]])
+@example(rows=[[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example(rows=[[0, 1], [0, 1]])
+@settings(max_examples=200, deadline=None)
+def test_bareiss_det_matches_gaussian_elimination(rows):
+    assert _bareiss_det([list(r) for r in rows]) == _det_fraction(rows)
+
+
+_RATIONALS = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=12),
+)
+_NONZERO_RATIONALS = _RATIONALS.filter(lambda x: x != 0)
+# values drawn from a small pool, so repeated values are common
+_VALUE_TUPLES = st.lists(_RATIONALS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+)
+
+
+@given(values=_VALUE_TUPLES)
+@example(values=[Fraction(1), Fraction(-1)])  # every odd h_k vanishes
+@example(values=[Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)])
+@example(values=[Fraction(2, 3), Fraction(-2, 3), Fraction(1, 12)])
+@settings(max_examples=60, deadline=None)
+def test_schur_jt_matches_tableau_oracle_hypothesis(values):
+    for total in range(9):
+        for lam in partitions_at_most(total, len(values)):
+            got = schur_jt(lam, values)
+            assert type(got) is Fraction
+            assert got == schur_tableau_oracle(lam, values), lam
+
+
+@given(roots=st.lists(_RATIONALS, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_from_linear_factors_matches_fraction_product(roots):
+    poly = [Fraction(1)]
+    for c in roots:
+        poly = [x - c * y for x, y in zip(poly + [0], [0] + poly)]
+    assert LocalFactor.from_linear_factors(roots).coeffs == LocalFactor(poly).coeffs
+
+
+@given(
+    alphas=st.lists(_NONZERO_RATIONALS, min_size=1, max_size=5),
+    degree=st.integers(min_value=0, max_value=6),
+)
+@example(alphas=[Fraction(1), Fraction(-1)], degree=6)
+@settings(max_examples=40, deadline=None)
+def test_even_partition_gf_matches_closed_form(alphas, degree):
+    # prod_{i<=j} (1 - a_i a_j X)^{-1} (1 - omega^2 X^r), one geometric
+    # series at a time over Q
+    r = len(alphas)
+    sat = SatakeData(r, alphas, 7)
+    closed = TruncatedSeries.one(degree)
+    for i in range(r):
+        for j in range(i, r):
+            closed = closed * TruncatedSeries.from_polynomial(
+                [1, -alphas[i] * alphas[j]], degree
+            ).inverse()
+    twist = [1] + [0] * (r - 1) + [-math.prod(alphas) ** 2]
+    closed = closed * TruncatedSeries.from_polynomial(twist, degree)
+    assert even_partition_gf(sat, degree) == closed
+    assert sym_square_series(sat, degree) == closed
+
+
+def test_toral_series_is_the_even_partition_sum():
+    # the q-powers collapse and chi^m cancels, leaving the Schur sum
+    rng = random.Random(11)
+    for r, chi in [(2, Fraction(1)), (3, Fraction(3, 2)), (4, Fraction(-2))]:
+        sat = _random_exact_sat(rng, r, chi=chi)
+        assert toral_series(sat, 6) == even_partition_gf(sat, 6)
+    sat = SatakeData(3, [Fraction(2), Fraction(1, 2), Fraction(3)], 5, chi_val=4)
+    assert toral_series(sat, 5, chi_sqrt_val=-2) == even_partition_gf(sat, 5)
+
+
+def test_toral_series_raises_when_exponents_fail_to_collapse(monkeypatch):
+    original = symsq.modulus_exponent
+
+    def shifted(group, partition, r):
+        return original(group, partition, r) + (group == "corank-one")
+
+    monkeypatch.setattr(symsq, "modulus_exponent", shifted)
+    with pytest.raises(PreconditionError, match="fail to collapse"):
+        unramified_zeta_check(SatakeData(2, [1, 1], 7), 4)
+
+
+def test_negative_degree_is_named():
+    sat = SatakeData(2, [1, 1], 7)
+    for check in (
+        unramified_zeta_check,
+        even_partition_identity_check,
+        even_partition_gf,
+        toral_series,
+        sym_square_series,
+    ):
+        with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
+            check(sat, -1)
