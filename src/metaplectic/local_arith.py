@@ -35,18 +35,41 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound,
+# the least strong pseudoprime to all of them (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for n < 3.3 * 10^24; larger n raise DomainError rather than
+    return a probable answer.
+    """
+    if n >= _MR_BOUND:
+        raise DomainError(f"primality of {n} is outside the exact range n < {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41, so no factor at all
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

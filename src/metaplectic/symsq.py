@@ -587,13 +587,16 @@ def rs_factorization_check(sat: SatakeData) -> bool:
 def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> TruncatedSeries:
     """The toral sum of Whittaker times both semi-Whittaker values times
     delta_Q^s delta_B^{-1}, assembled term by term as QPower products, in
-    the variable X = chi(w) q^{-2s+1/2}. Raises PreconditionError on any
-    term whose q-power fails to collapse onto that substitution."""
+    the variable X = chi(w) q^{-2s+1/2}. Raises DomainError for rank r < 2
+    and PreconditionError on any term whose q-power fails to collapse onto
+    that substitution."""
     if sat.chi_val == RAMIFIED:
         raise PreconditionError("the toral computation needs an unramified twist")
     if not sat.is_exact():
         raise PreconditionError("identity checks need exact Satake values")
     _check_degree(degree)
+    if sat.r < 2:
+        raise DomainError(f"symmetric-square zeta check needs rank r >= 2, got {sat.r}")
     r, chi, omega = sat.r, sat.chi_val, sat.omega_val
     ints, den = _scaled_to_integers(sat.alphas)
     h = _complete_homogeneous(ints, 2 * degree + r)

@@ -2,9 +2,12 @@
 
 The index gamma(psi) of the quadratic character x -> psi(x^2) is an eighth
 root of unity. Exact values live in Z/8 exponent arithmetic (the value is
-e^(i*pi*k/4)); a floating-point oracle is used once per square class to pick
-the right exponent, with a hard error if the oracle lands near no candidate.
-No convention is ever guessed.
+e^(i*pi*k/4)), and ``gamma`` computes the exponent in closed form from the
+valuation and the Legendre symbol of the scale (Gauss's sign of the
+quadratic Gauss sum; Weil, Acta Math. 111 (1964); Ranga Rao, Pacific J.
+Math. 157 (1993)). It is exact by construction: no floating point enters.
+The numerical shell oracle ``gauss_shell_oracle`` is an independent
+witness that the tests compare against the closed form.
 
 Conventions, fixed throughout: the standard real character is
 psi(x) = e^(2*pi*i*x); the standard character at an odd prime p has
@@ -26,7 +29,7 @@ from .local_arith import (
     Place,
     as_fraction,
     hilbert,
-    square_class_rep,
+    legendre,
     valuation_and_unit,
 )
 
@@ -149,10 +152,9 @@ class AdditiveCharacter:
         return f"AdditiveCharacter({self.place!r}, scale={self.scale})"
 
 
-# Oracle internals -----------------------------------------------------------
+# Numerical witness ----------------------------------------------------------
 
 _SHELL_ZERO = 1e-10
-_SNAP_TOL = 1e-6
 _SHELL_ARRAY_CAP = 6_000_000
 
 
@@ -235,52 +237,22 @@ def gauss_shell_oracle(p: int, a, shell_depth: int = 4) -> complex:
     return total / norm
 
 
-def _real_phase_oracle(a: Fraction) -> complex:
-    """Normalized regularized Gaussian: the phase of the Fresnel-type
-    integral of psi(a x^2) over R, psi(x) = e^(2*pi*i*x). Evaluates
-    sqrt(pi / (eps - 2*pi*i*a)) on the principal branch for tiny eps > 0;
-    the phase error is O(eps/|a|)."""
-    eps = 1e-12
-    val = cmath.sqrt(math.pi / (eps - 2j * math.pi * float(a)))
-    return val / abs(val)
-
-
-def _snap_to_eighth_root(value: complex) -> EighthRoot:
-    best_k, best_err = 0, float("inf")
-    for k in range(8):
-        err = abs(value - cmath.exp(1j * math.pi * k / 4))
-        if err < best_err:
-            best_k, best_err = k, err
-    if best_err > _SNAP_TOL:
-        raise OracleConsistencyError(
-            f"oracle value {value} is not within {_SNAP_TOL} of any eighth root"
-        )
-    return EighthRoot(best_k)
-
-
-_gamma_cache: dict[tuple[int | None, Fraction], EighthRoot] = {}
-
-
 def gamma(psi: AdditiveCharacter) -> EighthRoot:
-    """The Weil index of psi as an exact eighth root.
+    """The Weil index of psi as an exact eighth root, in closed form.
 
-    The oracle value is computed once per (place, square class of scale);
-    the cache is keyed on the canonical square-class representative, which
-    makes square-class invariance structural here. Tests probe the raw
-    oracle at several members of each class to confirm the invariance is
-    real and not an artifact of the caching. Cache writes are idempotent,
-    so concurrent use is safe.
+    Real place: e^(i*pi/4) for scale a > 0 and e^(-i*pi/4) for a < 0. Odd p,
+    a = p^v * u: 1 if v is even, else eps_p * (u|p) with eps_p = 1 for
+    p = 1 mod 4 and i for p = 3 mod 4. The value depends only on the square
+    class of a; the tests check it against ``gauss_shell_oracle``.
     """
-    place = psi.place
-    rep = square_class_rep(psi.scale, place)
-    key = (place.p, rep)
-    if key not in _gamma_cache:
-        if place.is_real:
-            value = _real_phase_oracle(rep)
-        else:
-            value = gauss_shell_oracle(place.p, rep)
-        _gamma_cache[key] = _snap_to_eighth_root(value)
-    return _gamma_cache[key]
+    a = psi.scale
+    if psi.place.is_real:
+        return EighthRoot(1 if a > 0 else 7)
+    p = psi.place.p
+    v, u = valuation_and_unit(a, p)
+    if v % 2 == 0:
+        return EighthRoot(0)
+    return EighthRoot((0 if p % 4 == 1 else 2) + (0 if legendre(u, p) == 1 else 4))
 
 
 def mu(a, psi: AdditiveCharacter) -> EighthRoot:

@@ -3,6 +3,7 @@ determinism, and the Satake ingestion diagnostics."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +350,47 @@ def test_euler_command(tmp_path, capsys):
     val = float(capsys.readouterr().out.strip())
     partial = (4 / 3) * (9 / 8) * (25 / 24) * (49 / 48)
     assert abs(val - partial) < 1e-6
+
+
+# pinned behaviour and the fixes past the old oracle cap --------------------------
+
+
+GOLDEN_SUITE_ALL = Path(__file__).parent / "golden" / "suite_all_seed0.json"
+
+
+def test_suite_all_matches_golden_report(tmp_path, capsys):
+    # "same behaviour" means this report, byte for byte
+    out = tmp_path / "all.json"
+    assert main(["suite", "all", "--seed", "0", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == GOLDEN_SUITE_ALL.read_bytes()
+
+
+def test_weil_gamma_past_the_old_cap(capsys):
+    assert main(["weil-gamma", "--place", "23", "--scale", "23"]) == 0
+    assert capsys.readouterr().out.strip() == "i"
+
+
+@pytest.mark.parametrize(
+    "p, a, want", [(23, 115, "-i"), (29, 145, "1"), (31, 155, "i"), (29, 58, "-1")]
+)
+def test_weil_mu_past_the_old_cap(p, a, want, capsys):
+    assert main(["weil-mu", "-a", str(a), "--place", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_weilrep_cocycle_checks_twenty_triples(seed, tmp_path, capsys):
+    # seed 9 used to draw 20 triples that all left the (3,1) window; seed 10
+    # reaches 20 in-window triples only with unit torus entries at N = 1
+    path = tmp_path / "report.json"
+    argv = ["suite", "weilrep", "--seed", str(seed), "--p", "3", "--N", "1", "--json", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = {row["id"]: row for row in json.loads(path.read_text())["cases"]}
+    assert rows["weilrep/2-cocycle@(3,1)"]["got"] == "0"
+
+
+def test_zeta_rank_one_names_the_rank(capsys):
+    assert main(["zeta", "--r", "1", "--alphas", "2", "--q", "7"]) == 2
+    assert "needs rank r >= 2, got 1" in capsys.readouterr().err

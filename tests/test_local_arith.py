@@ -10,6 +10,7 @@ from metaplectic.local_arith import (
     Place,
     TruncatedSeries,
     hilbert,
+    is_prime,
     legendre,
     prime_factors,
     reciprocity_product,
@@ -268,3 +269,65 @@ def test_series_degree_mismatch():
 def test_series_zero_constant_not_invertible():
     with pytest.raises(DomainError):
         TruncatedSeries([0, 1, 2]).inverse()
+
+
+# primality -------------------------------------------------------------
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 20_000):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    # least strong pseudoprimes to the first k prime bases (OEIS A014233);
+    # the last one fools every base up to 37, so base 41 must catch it
+    strong = (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+    )
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+    assert 399165290221 * 798330580441 == strong[-1]
+
+
+def test_is_prime_large_primes():
+    for p in (1_000_000_000_000_037, 2**61 - 1, 2**64 - 59, 2**31 - 1):
+        assert is_prime(p), p
+    assert not is_prime(1_000_003 * (2**61 - 1))
+
+
+def test_is_prime_bound_is_a_named_error():
+    bound = 1287836182261 * 2575672364521  # strong pseudoprime to bases 2..41
+    assert not is_prime(bound - 1)  # just inside the range: an answer, not an error
+    for n in (bound, 10**30, 2**89 - 1):
+        with pytest.raises(DomainError, match="outside the exact range"):
+            is_prime(n)
+    with pytest.raises(DomainError):
+        Place.finite(10**30)
+
+
+def test_symbols_at_a_sixteen_digit_place():
+    p = 1_000_000_000_000_037
+    place = Place.finite(p)
+    assert hilbert(3, 5, place) == 1
+    assert valuation_and_unit(Fraction(p * 6, p**3), p) == (-2, Fraction(6))

@@ -619,3 +619,11 @@ def test_negative_degree_is_named():
     ):
         with pytest.raises(DomainError, match="degree must be nonnegative, got -1"):
             check(sat, -1)
+
+
+def test_rank_one_zeta_is_named():
+    # rank 1 is outside the check; the error names the rank, not a parabolic
+    sat = SatakeData(1, [Fraction(2)], 7)
+    for check in (toral_series, unramified_zeta_check):
+        with pytest.raises(DomainError, match=r"needs rank r >= 2, got 1"):
+            check(sat, 4)

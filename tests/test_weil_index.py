@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.errors import DomainError, OracleConsistencyError
-from metaplectic.local_arith import Place, hilbert, legendre
+from metaplectic.local_arith import Place, hilbert, is_prime, legendre
 from metaplectic.weil_index import (
     AdditiveCharacter,
     EighthRoot,
@@ -263,3 +265,72 @@ def test_gamma_closed_form_valuation_one():
                 continue
             expect = EighthRoot.from_sign(legendre(u, p)) * eps
             assert mu(p * u, psi) == expect, (p, u)
+
+
+# closed form past the old oracle's resource cap ------------------------
+
+
+BIG_PRIMES = (23, 29, 31, 101)
+
+
+def _normalised_gauss_sum(p, u):
+    t = np.arange(p)
+    total = np.exp(2j * np.pi * ((u * t * t) % p) / p).sum()
+    return total / abs(total)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_gamma_past_the_old_cap_against_gauss_sum(p):
+    # for v = 1 the shell oracle adds up exactly sum_(t mod p) e(u t^2 / p);
+    # p^3 u and u / p lie in the same square class as p u; even valuations
+    # give 1
+    place = Place.finite(p)
+    for u in range(-p + 1, p):
+        if u == 0:
+            continue
+        want = _normalised_gauss_sum(p, u)
+        for a in (p * u, p**3 * u, Fraction(u, p)):
+            got = gamma(AdditiveCharacter(place, a))
+            assert abs(got.value() - want) < 1e-9, (p, a)
+        for a in (u, p**2 * u, Fraction(u, p**2)):
+            assert gamma(AdditiveCharacter(place, a)) == EighthRoot(0), (p, a)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_mu_multiplicativity_square_class_reps(p):
+    n = next(k for k in range(2, p) if legendre(k, p) == -1)
+    reps = (1, n, p, n * p)
+    psi = std(Place.finite(p))
+    for a in reps:
+        for b in reps:
+            assert mu_multiplicativity_check(a, b, psi), (p, a, b)
+
+
+ODD_PRIMES_BELOW_300 = [p for p in range(3, 300) if is_prime(p)]
+nonzero_ints = st.integers(-10_000, 10_000).filter(bool)
+rationals = st.builds(Fraction, nonzero_ints, st.integers(1, 10_000))
+
+
+@given(
+    st.sampled_from(ODD_PRIMES_BELOW_300),
+    rationals,
+    rationals,
+    rationals,
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_mu_multiplicativity_hypothesis(p, scale, a, b, va, vb):
+    psi = AdditiveCharacter(Place.finite(p), scale)
+    assert mu_multiplicativity_check(a * Fraction(p) ** va, b * Fraction(p) ** vb, psi)
+
+
+def test_gamma_real_against_quadrature():
+    # the regularised integral of e^(2 pi i a x^2) over R has the phase of gamma
+    eps = 0.05
+    x = np.linspace(-60, 60, 2_000_001)
+    for a in (1, -1, Fraction(5, 2), Fraction(-1, 3)):
+        f = np.exp(2j * np.pi * float(a) * x * x - eps * x * x)
+        val = np.trapezoid(f, x)
+        got = gamma(AdditiveCharacter(REAL, a)).value()
+        assert abs(got - val / abs(val)) < 0.05, a
