@@ -6,7 +6,13 @@ cocycle (the double cover's 2-cocycle on structured GL_r elements),
 weil_rep (a finite lattice model of the Weil representation),
 symsq (Schur polynomials, toral Whittaker sums, twisted symmetric-square
 local factors), and cli (suite runner and one-off computations).
+
+The re-exported names below resolve on first access (PEP 562), so
+``import metaplectic`` loads only the error classes, and numpy loads only
+with ``weil_rep`` or a brute-force oracle.
 """
+
+from importlib import import_module
 
 from .errors import (
     ConvergenceDomainError,
@@ -17,13 +23,40 @@ from .errors import (
     PreconditionError,
     UnsupportedDomainError,
 )
-from .local_arith import Place, hilbert, square_class_rep
-from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
-from .cocycle import StructuredElement, UnramifiedCharacter, sigma_eval
-from .weil_rep import build_model, projective_multiplier
-from .symsq import SatakeData, local_factors, pole_report, unramified_zeta_check
 
 __version__ = "0.1.0"
+
+# re-exported name -> the submodule that defines it
+_LAZY = {
+    "Place": "local_arith",
+    "hilbert": "local_arith",
+    "square_class_rep": "local_arith",
+    "AdditiveCharacter": "weil_index",
+    "EighthRoot": "weil_index",
+    "gamma": "weil_index",
+    "mu": "weil_index",
+    "StructuredElement": "cocycle",
+    "UnramifiedCharacter": "cocycle",
+    "sigma_eval": "cocycle",
+    "build_model": "weil_rep",
+    "projective_multiplier": "weil_rep",
+    "SatakeData": "symsq",
+    "local_factors": "symsq",
+    "pole_report": "symsq",
+    "unramified_zeta_check": "symsq",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AdditiveCharacter",

@@ -66,15 +66,6 @@ from .symsq import (
     unramified_zeta_check,
 )
 from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
-from .weil_rep import (
-    build_model,
-    operator,
-    parity_invariance_check,
-    projective_multiplier,
-    tensor_whittaker_check,
-    twist_intertwiner_check,
-    whittaker_functional_exists,
-)
 
 _CAUGHT = (
     DomainError,
@@ -483,6 +474,17 @@ def _least_nonresidue(p: int) -> int:
 
 
 def _suite_weilrep(rng, p=3, big_n=1):
+    # imported here so that only this suite loads numpy
+    from .weil_rep import (
+        build_model,
+        operator,
+        parity_invariance_check,
+        projective_multiplier,
+        tensor_whittaker_check,
+        twist_intertwiner_check,
+        whittaker_functional_exists,
+    )
+
     cases = []
     model = build_model(p, big_n)
     nonres = _least_nonresidue(p)

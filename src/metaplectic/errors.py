@@ -21,8 +21,10 @@ class PreconditionError(DomainError):
 
 
 class OracleConsistencyError(RuntimeError):
-    """A floating-point oracle value failed to land near any admissible exact
-    value; signals a convention error rather than a numerical hiccup."""
+    """A brute-force oracle cannot give a trustworthy value: a floating-point
+    value failed to land near any admissible exact value (a convention error
+    rather than a numerical hiccup), or the input exceeds the oracle's
+    resource cap."""
 
 
 class ModelInconsistencyError(RuntimeError):

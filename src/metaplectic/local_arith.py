@@ -15,11 +15,11 @@ characteristic.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, OracleConsistencyError
 
 Rational = Fraction
 
@@ -56,6 +56,12 @@ def is_prime(n: int) -> bool:
             return n == b
     if n < 43 * 43:  # no prime factor up to 41, so no factor at all
         return True
+    return not _witnessed_composite(n)
+
+
+def _witnessed_composite(n: int) -> bool:
+    # True iff some base in _MR_BASES proves n composite; n must be odd and
+    # prime to every base. A True answer is a proof at any size.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -69,26 +75,69 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
+
+
+def _rho_factor(n: int) -> int:
+    # A proper factor of the odd composite n: Pollard's rho with Brent's cycle
+    # search, gcds batched over 128 steps. Deterministic (x0 = 2, c = 1, 2, ...).
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| (n must be nonzero); trial division."""
+    """Distinct prime factors of |n| (n must be nonzero), in increasing order.
+
+    Trial division by the primes up to 41, then Pollard-Brent rho splits
+    every piece that Miller-Rabin proves composite; the cost grows with the
+    square root of the second-largest prime factor. A piece at or above
+    3.3 * 10^24 that no base proves composite cannot be certified prime and
+    raises DomainError.
+    """
     n = abs(n)
     if n == 0:
         raise DomainError("0 has no prime factorization")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2 if d > 2 else 1
-    if n > 1:
-        out.append(n)
-    return out
+    out = set()
+    for b in _MR_BASES:
+        if n % b == 0:
+            out.add(b)
+            while n % b == 0:
+                n //= b
+    pieces = [n] if n > 1 else []
+    while pieces:
+        m = pieces.pop()
+        # no piece has a factor up to 41, so below 43^2 it is prime
+        if m >= 43 * 43 and _witnessed_composite(m):
+            d = _rho_factor(m)
+            pieces += [d, m // d]
+        elif m < _MR_BOUND:
+            out.add(m)
+        else:
+            raise DomainError(
+                f"cannot certify the factor {m} prime: the exact range is n < {_MR_BOUND}"
+            )
+    return sorted(out)
 
 
 class Place:
@@ -228,21 +277,34 @@ def hilbert(a, b, place: Place) -> int:
     return -1 if e % 2 else 1
 
 
+# p^5 above this would need tables of more than 10^7 residues (p <= 23 fit)
+_SWEEP_MODULUS_CAP = 10_000_000
+
+
 @functools.lru_cache(maxsize=None)
 def _mod_p5_solvable(a: int, b: int, p: int) -> bool:
     # Primitive solution of a x^2 + b y^2 = z^2 mod p^5. Any primitive triple
     # has a unit coordinate; scaling by its inverse pins that coordinate to 1,
-    # so three sweeps with one coordinate fixed at 1 are exhaustive.
+    # so three sweeps with one coordinate fixed at 1 are exhaustive. Each sweep
+    # runs over the squares mod p^5 and looks its targets up in a residue table.
     mod = p**5
-    r = np.arange(mod, dtype=np.int64)
-    sq = np.unique((r * r) % mod)
-    by2 = (b % mod) * ((r * r) % mod) % mod
-    ax2 = (a % mod) * ((r * r) % mod) % mod
-    if np.isin((a + by2) % mod, sq).any():  # x = 1
+    if mod > _SWEEP_MODULUS_CAP:
+        raise OracleConsistencyError(
+            f"solvability sweep modulus {p}^5 exceeds the oracle's cap {_SWEEP_MODULUS_CAP}"
+        )
+    import numpy as np
+
+    r = np.arange(mod // 2 + 1, dtype=np.int64)  # (mod - r)^2 = r^2 covers the rest
+    is_sq = np.zeros(mod, dtype=bool)
+    is_sq[r * r % mod] = True
+    sq = np.flatnonzero(is_sq)
+    if is_sq[(a + b * sq) % mod].any():  # x = 1
         return True
-    if np.isin((ax2 + b) % mod, sq).any():  # y = 1
+    if is_sq[(a * sq + b) % mod].any():  # y = 1
         return True
-    return bool(np.isin((1 - ax2) % mod, np.unique(by2)).any())  # z = 1
+    is_by2 = np.zeros(mod, dtype=bool)
+    is_by2[b * sq % mod] = True
+    return bool(is_by2[(1 - a * sq) % mod].any())  # z = 1
 
 
 def solvability_oracle(a, b, place: Place) -> int:
@@ -255,6 +317,9 @@ def solvability_oracle(a, b, place: Place) -> int:
     a primitive solution mod p^5 lifts to the completion (the gradient of
     z^2 - a x^2 - b y^2 has valuation at most 2 at such a point, and p^5
     exceeds twice that). At the real place it is sign analysis.
+
+    Finite places need p^5 <= 10^7, i.e. p <= 23; a larger p raises
+    OracleConsistencyError before anything is allocated.
 
     Independent of the symbol formulas in :func:`hilbert`; used to pin them.
     """

@@ -22,8 +22,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, OracleConsistencyError
 from .local_arith import (
     Place,
@@ -161,6 +159,8 @@ _SHELL_ARRAY_CAP = 6_000_000
 def _shell_sum(p: int, v: int, unum: int, uden: int, k: int) -> complex:
     """Integral of psi(a x^2) over the shell valuation(x) = -k (k >= 1),
     for a = p^v * unum/uden. Exact finite sum in floating point."""
+    import numpy as np
+
     m = max(2 * k - v, 0)
     measure = float(p**k - p ** (k - 1))
     if m == 0:
@@ -192,6 +192,8 @@ def gauss_shell_oracle(p: int, a, shell_depth: int = 4) -> complex:
     shell_depth, an OracleConsistencyError is raised rather than returning
     a doubtful value.
     """
+    import numpy as np
+
     if p == 2 or p < 2:
         raise DomainError("shell oracle needs an odd prime")
     if shell_depth < 1:

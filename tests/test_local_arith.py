@@ -1,11 +1,16 @@
+import functools
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaplectic import local_arith
 from metaplectic.errors import DomainError
+from metaplectic.errors import OracleConsistencyError
 from metaplectic.local_arith import (
     Place,
     TruncatedSeries,
@@ -331,3 +336,126 @@ def test_symbols_at_a_sixteen_digit_place():
     place = Place.finite(p)
     assert hilbert(3, 5, place) == 1
     assert valuation_and_unit(Fraction(p * 6, p**3), p) == (-2, Fraction(6))
+
+
+# prime factors without trial division ---------------------------------------
+
+
+def _trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def test_prime_factors_matches_trial_division():
+    for n in range(1, 20_000):
+        assert prime_factors(n) == _trial_division_factors(n), n
+        assert prime_factors(-n) == prime_factors(n)
+    with pytest.raises(DomainError):
+        prime_factors(0)
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (1_000_003 * 1_000_000_000_000_037, [1_000_003, 1_000_000_000_000_037]),
+        (9_999_999_967**2, [9_999_999_967]),  # square of a 10-digit prime
+        (2**40 * 43**30 * 1_000_000_000_000_037, [2, 43, 1_000_000_000_000_037]),
+    ],
+)
+def test_prime_factors_large_inputs_are_fast(n, want):
+    start = time.perf_counter()
+    assert prime_factors(n) == want
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_factors_beyond_the_exact_range():
+    # a prime piece above the Miller-Rabin bound cannot be certified
+    with pytest.raises(DomainError, match="cannot certify"):
+        prime_factors(3 * (2**89 - 1))
+    # a composite piece that large is still split, since compositeness is proven
+    assert prime_factors(43**40) == [43]
+
+
+def test_reciprocity_at_a_sixteen_digit_prime_is_fast():
+    start = time.perf_counter()
+    assert reciprocity_product(3, 1_000_000_000_000_037) == 1
+    assert reciprocity_product(Fraction(5, 1_000_003), 1_000_000_000_000_037 * 7) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+# the solvability sweep over residue tables -------------------------------------
+
+
+def _reduced_residues(p):
+    # what solvability_oracle passes to the sweep: p^e * unit mod p^5, e in {0, 1}
+    mod = p**5
+    units = [u for u in range(mod) if u % p]
+    return units + sorted({p * u % mod for u in units})
+
+
+def _set_sweep(p):
+    """The three one-coordinate-fixed sweeps with Python sets of residues."""
+    mod = p**5
+    squares = {r * r % mod for r in range(mod)}
+
+    @functools.cache
+    def times_sq(a):  # {a x^2}
+        return {a * s % mod for s in squares}
+
+    @functools.cache
+    def sq_minus(a):  # {z^2 - a}
+        return {(s - a) % mod for s in squares}
+
+    @functools.cache
+    def one_minus(a):  # {1 - a x^2}
+        return {(1 - t) % mod for t in times_sq(a)}
+
+    def solvable(a, b):
+        if not sq_minus(a).isdisjoint(times_sq(b)):  # x = 1: a + b y^2 = z^2
+            return True
+        if not sq_minus(b).isdisjoint(times_sq(a)):  # y = 1: a x^2 + b = z^2
+            return True
+        return not one_minus(a).isdisjoint(times_sq(b))  # z = 1: 1 - a x^2 = b y^2
+
+    return solvable
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_table_sweep_matches_set_sweep_on_every_reduced_pair(p):
+    sweep = local_arith._mod_p5_solvable.__wrapped__
+    ref = _set_sweep(p)
+    res = _reduced_residues(p)
+    for a in res:
+        for b in res:
+            assert sweep(a, b, p) == ref(a, b), (a, b)
+
+
+def test_table_sweep_matches_set_sweep_at_five():
+    sweep = local_arith._mod_p5_solvable.__wrapped__
+    ref = _set_sweep(5)
+    rng = random.Random(5)
+    res = _reduced_residues(5)
+    for _ in range(300):
+        a, b = rng.choice(res), rng.choice(res)
+        assert sweep(a, b, 5) == ref(a, b), (a, b)
+
+
+def test_solvability_oracle_at_the_largest_prime_under_the_cap():
+    place = Place.finite(23)
+    for a, b in ((5, 23), (2, 23)):
+        assert solvability_oracle(a, b, place) == hilbert(a, b, place)
+
+
+def test_solvability_oracle_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any numpy import now fails
+    for p in (29, 79, 101):
+        with pytest.raises(OracleConsistencyError, match="cap 10000000"):
+            solvability_oracle(2, p, Place.finite(p))
