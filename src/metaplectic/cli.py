@@ -477,12 +477,13 @@ def _suite_weilrep(rng, p=3, big_n=1):
     # imported here so that only this suite loads numpy
     from .weil_rep import (
         build_model,
-        operator,
+        identity_blocks,
         parity_invariance_check,
         projective_multiplier,
         tensor_whittaker_check,
         twist_intertwiner_check,
         whittaker_functional_exists,
+        word_action,
     )
 
     cases = []
@@ -565,12 +566,10 @@ def _suite_weilrep(rng, p=3, big_n=1):
 
         bad = 0
         for a in (1, 2, -1, 4):
-            op = operator(model, ("central", a), chi_value=chi.value(a))
+            # the central letter against the scalar times each identity block
+            act = word_action(model, [("central", a)], chi=chi)
             want = complex(chi.value(a)) * mu(a, model.psi).value()
-            got = op[0, 0]
-            if abs(got - want) > 1e-9:
-                bad += 1
-            if not np.allclose(op, got * np.eye(model.size), atol=1e-9):
+            if not all(np.allclose(act(X), want * X, atol=1e-9) for X in identity_blocks(model)):
                 bad += 1
         return 0, bad
 

@@ -283,10 +283,12 @@ _SWEEP_MODULUS_CAP = 10_000_000
 
 @functools.lru_cache(maxsize=None)
 def _mod_p5_solvable(a: int, b: int, p: int) -> bool:
-    # Primitive solution of a x^2 + b y^2 = z^2 mod p^5. Any primitive triple
-    # has a unit coordinate; scaling by its inverse pins that coordinate to 1,
-    # so three sweeps with one coordinate fixed at 1 are exhaustive. Each sweep
-    # runs over the squares mod p^5 and looks its targets up in a residue table.
+    # Primitive solution of a x^2 + b y^2 = z^2 mod p^5. In a primitive triple
+    # x or y is a unit: if p divided both, p^2 would divide a x^2 + b y^2 and
+    # so z^2, making z a non-unit too. Scaling by the inverse of that unit
+    # pins it to 1, so the two sweeps x = 1 and y = 1 are exhaustive. Each
+    # sweep runs over the squares mod p^5 and looks its targets up in a
+    # residue table.
     mod = p**5
     if mod > _SWEEP_MODULUS_CAP:
         raise OracleConsistencyError(
@@ -300,11 +302,7 @@ def _mod_p5_solvable(a: int, b: int, p: int) -> bool:
     sq = np.flatnonzero(is_sq)
     if is_sq[(a + b * sq) % mod].any():  # x = 1
         return True
-    if is_sq[(a * sq + b) % mod].any():  # y = 1
-        return True
-    is_by2 = np.zeros(mod, dtype=bool)
-    is_by2[b * sq % mod] = True
-    return bool(is_by2[(1 - a * sq) % mod].any())  # z = 1
+    return bool(is_sq[(a * sq + b) % mod].any())  # y = 1
 
 
 def solvability_oracle(a, b, place: Place) -> int:

@@ -28,9 +28,12 @@ raise PreconditionError, never wrap around silently.
 Operators are actions on blocks of columns, not stored matrices. Every
 letter except w is monomial (a gather of carrier indices times a phase or
 scalar) and costs O(M) per column, M = p^(2N); w is an index-permuted
-inverse FFT and costs O(M log M) per column. A full projective multiplier
-check therefore takes O(M^2 log M) time and O(M^2) memory. The dense
-matrix of a generator or word is its action applied to the identity.
+inverse FFT and costs O(M log M) per column. The checks stream the identity
+through the actions in blocks of B = max(1, 2^13 // M) columns, under
+128 KiB each up to M = 2^13, so a full projective multiplier check takes
+O(M^2 log M) time and O(M B) memory. The dense matrix of a generator or word
+is its action applied to the whole identity; it is built only on request,
+and only up to M = 2500 carrier points (100 MB per matrix).
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ from .local_arith import (
 from .weil_index import AdditiveCharacter, gamma, mu
 
 OP_TOL = 1e-9
+
+# complex entries per streamed column block: 2^13 of them take 128 KiB
+_BLOCK_ENTRIES = 1 << 13
+
+# dense M x M materialisers stop here; one complex matrix at the cap is 100 MB
+_DENSE_SIZE_CAP = 2500
 
 
 def _sqrt_fraction(x: Fraction):
@@ -135,8 +144,10 @@ class FiniteWeilModel:
         return self.p**self.N * np.fft.ifft(X, axis=0)[self._fourier_index]
 
     def fourier_matrix(self) -> np.ndarray:
-        """The dense M x M transform kernel, materialised on demand."""
-        return self.fourier_block(np.eye(self.size, dtype=np.complex128))
+        """The dense M x M transform kernel, materialised on demand (M up to
+        the dense cap)."""
+        _check_dense(self)
+        return self.fourier_block(_identity(self))
 
     def __repr__(self):
         return f"FiniteWeilModel(p={self.p}, N={self.N}, scale={self.psi.scale})"
@@ -231,8 +242,10 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
     M, p, N = model.size, model.p, model.N
     kind = gen[0]
     if kind == "w":
-        scalar = gamma(model.psi).value()
-        return lambda X: scalar * model.fourier_block(X)
+        # gamma(psi) times fourier_block, with p^N folded into the one scalar
+        scalar = gamma(model.psi).value() * p**N
+        index = model._fourier_index
+        return lambda X: scalar * np.fft.ifft(X, axis=0)[index]
     if kind == "n":
         b = as_fraction(gen[1])
         if b == 0:
@@ -281,13 +294,59 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
     raise DomainError(f"unknown generator {gen!r}")
 
 
+def _check_dense(model: FiniteWeilModel):
+    """Every dense materialiser calls this before it allocates anything: a
+    named error above the cap in place of a multi-gigabyte allocation."""
+    if model.size > _DENSE_SIZE_CAP:
+        raise UnsupportedDomainError(
+            f"a dense {model.size} x {model.size} operator exceeds the cap of "
+            f"{_DENSE_SIZE_CAP} carrier points; the checks stream column blocks"
+        )
+
+
 def _identity(model: FiniteWeilModel) -> np.ndarray:
     return np.eye(model.size, dtype=np.complex128)
 
 
+def _unit_columns(M: int, at) -> np.ndarray:
+    """The columns of the M x M identity at the carrier indices ``at``."""
+    X = np.zeros((M, len(at)), dtype=np.complex128)
+    X[at, np.arange(len(at))] = 1.0
+    return X
+
+
+def _column_blocks(M: int):
+    """Carrier indices 0..M-1 in consecutive blocks of max(1, 2^13 // M)."""
+    width = max(1, _BLOCK_ENTRIES // M)
+    for start in range(0, M, width):
+        yield np.arange(start, min(start + width, M))
+
+
+def identity_blocks(model: FiniteWeilModel):
+    """The M x M identity as consecutive blocks of max(1, 2^13 // M) columns:
+    feeding every block through an action visits every matrix entry."""
+    for cols in _column_blocks(model.size):
+        yield _unit_columns(model.size, cols)
+
+
+def _actions_agree(model: FiniteWeilModel, lhs, rhs, perm=None) -> bool:
+    """Whether two actions have the same matrix within OP_TOL, compared block
+    by block on identity columns. With a permutation perm of the carrier,
+    lhs's matrix is compared after gathering rows and columns by perm: the
+    block is built from the gathered columns and its rows are gathered."""
+    M = model.size
+    for cols in _column_blocks(M):
+        X = _unit_columns(M, cols)
+        left = lhs(X) if perm is None else lhs(_unit_columns(M, perm[cols]))[perm]
+        if np.max(np.abs(left - rhs(X))) >= OP_TOL:
+            return False
+    return True
+
+
 def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False) -> np.ndarray:
     """Matrix of one generator on the carrier basis: its action applied to
-    the identity.
+    the identity. Raises UnsupportedDomainError above the dense cap of
+    M = 2500 carrier points.
 
     gen is a tuple: ("w",), ("n", b), ("t", a), ("d", s), ("central", a),
     ("sign", xi). For "d" the parameter is the square root s of the torus
@@ -295,12 +354,13 @@ def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False
     character value needed by "d" and "central". extended widens the
     substitution windows to what products of in-window generators reach.
     """
+    _check_dense(model)
     return _letter(model, gen, chi_value=chi_value, extended=extended)(_identity(model))
 
 
-def _word_action(model: FiniteWeilModel, word, chi=None, extended: bool = False):
-    """The action of a generator word on a block of columns. Every letter is
-    validated, left to right, before anything is applied."""
+def word_action(model: FiniteWeilModel, word, chi=None, extended: bool = False):
+    """The action of a generator word on a block of columns X of shape (M, c).
+    Every letter is validated, left to right, before anything is applied."""
     letters = []
     for gen in word:
         cv = None
@@ -321,8 +381,10 @@ def _word_action(model: FiniteWeilModel, word, chi=None, extended: bool = False)
 def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -> np.ndarray:
     """Operator of a generator word (left factor acts last, as in function
     composition): the letters applied right to left to the identity. chi is
-    a value oracle used by d/central letters."""
-    return _word_action(model, word, chi=chi, extended=extended)(_identity(model))
+    a value oracle used by d/central letters. Raises UnsupportedDomainError
+    above the dense cap, before the word is validated."""
+    _check_dense(model)
+    return word_action(model, word, chi=chi, extended=extended)(_identity(model))
 
 
 # canonical words and the empirical multiplier ----------------------------
@@ -353,29 +415,42 @@ def canonical_word(mat, place_hint=None) -> list:
 
 
 def operator_for_matrix(model: FiniteWeilModel, mat, chi=None) -> np.ndarray:
+    """Dense operator of a matrix block through its canonical word, up to the
+    dense cap."""
     return op_of_word(model, canonical_word(mat), chi=chi, extended=True)
 
 
 def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
-    """The scalar c with op(g) op(h) = c op(gh), extracted from the operator
-    matrices of the canonical words. Both M x M sides are materialised and
-    compared entry by entry; raises ModelInconsistencyError if they are not
-    proportional within tolerance (1e-6 relative)."""
-    act_g = _word_action(model, canonical_word(g), chi=chi, extended=True)
-    act_h = _word_action(model, canonical_word(h), chi=chi, extended=True)
+    """The scalar c with op(g) op(h) = c op(gh), for the canonical words.
+
+    The words of g, h and gh are validated first, in that order. Both sides
+    are then streamed over identity column blocks, so memory is O(M B) for
+    blocks of B columns and no M x M array is built. c is read off the
+    largest entry of op(gh) in the first block, and every entry of both
+    sides is compared against it: raises ModelInconsistencyError if the
+    largest residual |op(g)op(h) - c op(gh)| exceeds 1e-6 max(1, max
+    |op(g)op(h)|).
+    """
+    act_g = word_action(model, canonical_word(g), chi=chi, extended=True)
+    act_h = word_action(model, canonical_word(h), chi=chi, extended=True)
     gh = g.compose(h) if hasattr(g, "compose") else None
     if gh is None:
         raise DomainError("g and h must be composable matrix blocks")
-    act_gh = _word_action(model, canonical_word(gh), chi=chi, extended=True)
-    # op(g) op(h) as g's word acting on the columns of op(h): no matmul
-    prod = act_g(act_h(_identity(model)))
-    ogh = act_gh(_identity(model))
-    k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
-    if abs(ogh[k]) < OP_TOL:
-        raise ModelInconsistencyError("product word operator vanished")
-    c = prod[k] / ogh[k]
-    resid = np.max(np.abs(prod - c * ogh))
-    if resid > 1e-6 * max(1.0, float(np.max(np.abs(prod)))):
+    act_gh = word_action(model, canonical_word(gh), chi=chi, extended=True)
+    c = None
+    resid = top = 0.0
+    for X in identity_blocks(model):
+        # op(g) op(h) as g's word acting on the columns of op(h): no matmul
+        prod = act_g(act_h(X))
+        ogh = act_gh(X)
+        if c is None:
+            k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
+            if abs(ogh[k]) < OP_TOL:
+                raise ModelInconsistencyError("product word operator vanished")
+            c = prod[k] / ogh[k]
+        resid = max(resid, float(np.max(np.abs(prod - c * ogh))))
+        top = max(top, float(np.max(np.abs(prod))))
+    if resid > 1e-6 * max(1.0, top):
         raise ModelInconsistencyError(
             f"operators are not proportional: residual {resid}"
         )
@@ -401,22 +476,21 @@ def borel_sign(mat, place: Place) -> int:
 
 def parity_invariance_check(model: FiniteWeilModel, gen, chi_value=None) -> bool:
     """True iff the generator's operator commutes with the parity flip,
-    i.e. preserves the even/odd decomposition."""
-    op = operator(model, gen, chi_value=chi_value)
-    neg = model.negate_indices()
+    i.e. preserves the even/odd decomposition. Streamed over column blocks."""
+    act = _letter(model, gen, chi_value=chi_value)
     # P op P for the flip permutation P is op with rows and columns negated
-    return bool(np.max(np.abs(op[np.ix_(neg, neg)] - op)) < OP_TOL)
+    return _actions_agree(model, act, act, perm=model.negate_indices())
 
 
 def whittaker_eigen_check(model: FiniteWeilModel, b_index: int, c) -> bool:
     """Evaluation at carrier point b composed with the quadratic-phase
     generator n(c) multiplies by psi(c b^2): the eigenproperty of the
-    evaluation functional, checked on the full operator matrix."""
+    evaluation functional, checked on the full operator row (streamed)."""
     c = as_fraction(c)
-    op = operator(model, ("n", c))
+    act = _letter(model, ("n", c))
     b = model.point(b_index)
     expect = cmath.exp(2j * math.pi * float(model.psi.phase(c * b * b)))
-    row = op[b_index % model.size]
+    row = np.concatenate([act(X)[b_index % model.size] for X in identity_blocks(model)])
     want = np.zeros(model.size, dtype=np.complex128)
     want[b_index % model.size] = expect
     return bool(np.max(np.abs(row - want)) < OP_TOL)
@@ -424,29 +498,23 @@ def whittaker_eigen_check(model: FiniteWeilModel, b_index: int, c) -> bool:
 
 def whittaker_functional_exists(model: FiniteWeilModel, a) -> bool:
     """Whether some evaluation functional has the quadratic eigencharacter
-    of scale a: true iff a is in the square class of some nonzero carrier
-    point squared (times the model's scale). Enumerates the carrier."""
+    of scale a: true iff a is in the square class of scale * x^2 for some
+    nonzero carrier point x. Since x^2 is a square, every such class is the
+    class of the model's scale, so this compares two square classes."""
     a = as_fraction(a)
     if a == 0:
         raise DomainError("target scale must be nonzero")
     place = model.place
-    target = square_class_rep(a, place)
-    seen = set()
-    for k in range(1, model.size):
-        x = model.point(k)
-        if x == 0:
-            continue
-        seen.add(square_class_rep(model.psi.scale * x * x, place))
-    return target in seen
+    return square_class_rep(a, place) == square_class_rep(model.psi.scale, place)
 
 
 def central_word_check(model: FiniteWeilModel, a, chi) -> bool:
     """The word t(a) d(a) (torus then square-torus with parameter a) lands
     on the central scalar chi(a) mu(a) with multiplier exactly +1."""
     a = as_fraction(a)
-    word = op_of_word(model, [("t", a), ("d", a)], chi=chi)
-    direct = operator(model, ("central", a), chi_value=chi.value(a))
-    return bool(np.max(np.abs(word - direct)) < OP_TOL)
+    word = word_action(model, [("t", a), ("d", a)], chi=chi)
+    direct = _letter(model, ("central", a), chi_value=chi.value(a))
+    return _actions_agree(model, word, direct)
 
 
 # twisting ------------------------------------------------------------------
@@ -481,35 +549,36 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
         b_samples = (1, 2, -1) + ((p,) if model.N >= 2 else ())
     twisted = FiniteWeilModel(p, model.N, model.psi.twist(a))
     ok = True
+    # every pair is validated even after a mismatch; only comparisons stop
     # n(b) -> n(a b), exactly
     for b in b_samples:
-        lhs = operator(model, ("n", as_fraction(b) * a))
-        rhs = operator(twisted, ("n", b))
-        ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
+        lhs = _letter(model, ("n", as_fraction(b) * a))
+        rhs = _letter(twisted, ("n", b))
+        ok = ok and _actions_agree(model, lhs, rhs)
     # w -> w t(1/a), exactly
-    lhs = op_of_word(model, [("w",), ("t", 1 / a)])
-    rhs = operator(twisted, ("w",))
-    ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
+    lhs = word_action(model, [("w",), ("t", 1 / a)])
+    rhs = _letter(twisted, ("w",))
+    ok = ok and _actions_agree(model, lhs, rhs)
     # t(c) -> (a, c) t(c)
     for c in t_samples:
         c = as_fraction(c)
         sign = hilbert(a, c, model.place)
-        lhs = sign * operator(model, ("t", c))
-        rhs = operator(twisted, ("t", c))
-        ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
+        lhs = _letter(model, ("t", c))
+        rhs = _letter(twisted, ("t", c))
+        ok = ok and _actions_agree(model, lambda X: sign * lhs(X), rhs)
     croot = _sqrt_fraction(a)
     if croot is not None:
         # explicit intertwiner T f(x) = f(c x) between the two models: T is
         # the permutation gathering rows by idx, so T op = op[idx] and
-        # (op' T)[:, idx] = op'; compare both sides with columns gathered
+        # (op' T)[:, idx] = op'; compare op with rows and columns gathered
         idx = model.scale_indices(croot)
         gens = [("w",), ("n", 2), ("t", 2)]
         if model.N >= 2:
             gens.append(("t", p))
         for gen in gens:
-            lhs = operator(model, gen)[np.ix_(idx, idx)]
-            rhs = operator(twisted, gen)
-            ok = ok and np.max(np.abs(lhs - rhs)) < OP_TOL
+            lhs = _letter(model, gen)
+            rhs = _letter(twisted, gen)
+            ok = ok and _actions_agree(model, lhs, rhs, perm=idx)
     return bool(ok)
 
 

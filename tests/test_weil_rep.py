@@ -6,8 +6,13 @@ import cmath
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from metaplectic.errors import (
     PreconditionError,
     UnsupportedDomainError,
 )
-from metaplectic.local_arith import Place, hilbert, valuation_and_unit
+from metaplectic.local_arith import Place, hilbert, square_class_rep, valuation_and_unit
 from metaplectic.weil_index import gamma, mu
 from metaplectic.weil_rep import (
     FiniteWeilModel,
@@ -368,6 +373,36 @@ def test_whittaker_functional_existence_by_square_class():
         whittaker_functional_exists(build_model(3, 1), 0)
 
 
+def carrier_square_classes(m):
+    """The square classes of scale * x^2 over every nonzero carrier point x,
+    by enumeration: the oracle for the closed square-class comparison."""
+    return {
+        square_class_rep(m.psi.scale * m.point(k) ** 2, m.place) for k in range(1, m.size)
+    }
+
+
+WHITTAKER_TARGETS = [
+    sign * Fraction(n, d) * q
+    for sign in (1, -1)
+    for n in range(1, 13)
+    for d in (1, 7)
+    for q in (1, 3, 5, 9, 25)
+]
+
+
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_whittaker_functional_exists_matches_carrier_enumeration(p, N):
+    for scale in (1, 2, -1, Fraction(3, 7) if p != 3 else Fraction(5, 7), Fraction(-2, 11)):
+        m = build_model(p, N, scale=scale)
+        seen = carrier_square_classes(m)
+        assert len(seen) == 1  # x^2 is a square, so only the scale's class
+        for a in WHITTAKER_TARGETS:
+            assert whittaker_functional_exists(m, a) == (square_class_rep(a, m.place) in seen), (
+                scale,
+                a,
+            )
+
+
 # twisting ---------------------------------------------------------------------
 
 
@@ -525,6 +560,238 @@ def test_words_and_fourier_match_dense_oracle(p, N):
 
 
 _cached_model = functools.cache(build_model)
+
+
+def dense_multiplier(g, h, m, chi=None):
+    """The multiplier as the library took it before streaming: both M x M
+    sides materialised, here with a dense matmul, and c read off the largest
+    entry of op(gh) anywhere."""
+    op_g = op_of_word(m, canonical_word(g), chi=chi, extended=True)
+    op_h = op_of_word(m, canonical_word(h), chi=chi, extended=True)
+    ogh = op_of_word(m, canonical_word(g.compose(h)), chi=chi, extended=True)
+    prod = op_g @ op_h
+    k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
+    if abs(ogh[k]) < weil_rep.OP_TOL:
+        raise ModelInconsistencyError("product word operator vanished")
+    c = prod[k] / ogh[k]
+    resid = np.max(np.abs(prod - c * ogh))
+    if resid > 1e-6 * max(1.0, float(np.max(np.abs(prod)))):
+        raise ModelInconsistencyError(f"operators are not proportional: residual {resid}")
+    return complex(c)
+
+
+def dense_parity(m, gen, chi_value=None):
+    """Parity invariance on the dense operator: P op P == op."""
+    op = operator(m, gen, chi_value=chi_value)
+    neg = m.negate_indices()
+    return bool(np.max(np.abs(op[np.ix_(neg, neg)] - op)) < weil_rep.OP_TOL)
+
+
+def dense_twist(a, m):
+    """The twist check on dense operators, with the library's default samples;
+    every operator is built, and so validated, even after a mismatch."""
+    a = Fraction(a)
+    p = m.p
+    if valuation_and_unit(a, p)[0] != 0:
+        raise PreconditionError("non-unit twist")
+    t_samples = (2, -1) + ((p,) if m.N >= 2 else ())
+    b_samples = (1, 2, -1) + ((p,) if m.N >= 2 else ())
+    twisted = FiniteWeilModel(p, m.N, m.psi.twist(a))
+    pairs = [(operator(m, ("n", Fraction(b) * a)), operator(twisted, ("n", b))) for b in b_samples]
+    pairs.append((op_of_word(m, [("w",), ("t", 1 / a)]), operator(twisted, ("w",))))
+    for c in t_samples:
+        sign = hilbert(a, c, m.place)
+        pairs.append((sign * operator(m, ("t", c)), operator(twisted, ("t", c))))
+    croot = weil_rep._sqrt_fraction(a)
+    if croot is not None:
+        idx = m.scale_indices(croot)
+        gens = [("w",), ("n", 2), ("t", 2)] + ([("t", p)] if m.N >= 2 else [])
+        for gen in gens:
+            pairs.append((operator(m, gen)[np.ix_(idx, idx)], operator(twisted, gen)))
+    return all(np.max(np.abs(lhs - rhs)) < weil_rep.OP_TOL for lhs, rhs in pairs)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, ModelInconsistencyError) as exc:
+        return type(exc)
+
+
+def same_outcome(got, want, tol=1e-12):
+    if isinstance(want, complex):
+        return isinstance(got, complex) and abs(got - want) < tol
+    return got == want
+
+
+def corrupt_letters(monkeypatch, kind, column, only=lambda model: True):
+    """Every letter of the given kind (on the models ``only`` accepts) also
+    adds half of entry ``column`` to entry 0: a rank-one error confined to
+    that column of the letter's matrix."""
+    letter = weil_rep._letter
+
+    def corrupted(model, gen, *args, **kwargs):
+        act = letter(model, gen, *args, **kwargs)
+        if gen[0] != kind or not only(model):
+            return act
+
+        def bent(X):
+            out = act(X).copy()
+            out[0] += 0.5 * X[column % model.size]
+            return out
+
+        return bent
+
+    monkeypatch.setattr(weil_rep, "_letter", corrupted)
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_streamed_multiplier_matches_dense_oracle(p, N):
+    m = build_model(p, N)
+    rng = random.Random(f"multiplier:{p},{N}")
+    mats = _sample_blocks(p, N)
+    pairs = [(rng.choice(mats), rng.choice(mats)) for _ in range(40)]
+    for _ in range(12):
+        g, h, k = rng.choice(mats), rng.choice(mats), rng.choice(mats)
+        pairs += [(g, h), (g.compose(h), k), (g, h.compose(k)), (h, k)]
+    computed = 0
+    for g, h in pairs:
+        got = outcome(projective_multiplier, g, h, m)
+        want = outcome(dense_multiplier, g, h, m)
+        assert same_outcome(got, want), (g.rows, h.rows, got, want)
+        computed += isinstance(got, complex)
+    assert computed > len(pairs) // 2
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
+    for g in (gl2(2, 0, 0, 2), gl2(2, 4, 1, 4)):
+        for h in mats[:6]:
+            got = outcome(projective_multiplier, g, h, m, chi=chi)
+            assert same_outcome(got, outcome(dense_multiplier, g, h, m, chi=chi))
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_streamed_parity_and_twist_match_dense_oracles(p, N, monkeypatch):
+    m = build_model(p, N)
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
+    twists = (2, 3, -1, 4, Fraction(1, 4), Fraction(-3, 7), p)
+
+    def compare():
+        for gen in _oracle_generators(p, N):
+            cv = chi.value(gen[1]) if gen[0] in ("d", "central") else None
+            assert outcome(parity_invariance_check, m, gen, chi_value=cv) == outcome(
+                dense_parity, m, gen, chi_value=cv
+            ), gen
+        for a in twists:
+            assert outcome(twist_intertwiner_check, a, m) == outcome(dense_twist, a, m), a
+
+    compare()
+    # and where the answer is False: seeded corrupted columns of one letter kind
+    rng = random.Random(f"corrupt:{p},{N}")
+    for kind in ("w", "n", "t"):
+        with monkeypatch.context() as mp:
+            corrupt_letters(mp, kind, rng.randrange(1, m.size), only=lambda model: model.psi.scale == 1)
+            assert not parity_invariance_check(m, (kind, 2) if kind != "w" else ("w",))
+            compare()
+
+
+# corruption confined to the last column block: a check that stops early, or
+# reads only its first block, passes these
+STREAMED = (5, 2)
+
+
+def _blocks(m):
+    return list(weil_rep._column_blocks(m.size))
+
+
+def test_multiplier_sees_a_last_block_corruption(monkeypatch):
+    m = build_model(*STREAMED)
+    blocks = _blocks(m)
+    assert len(blocks) > 2 and m.size - 1 in blocks[-1] and 0 in blocks[0]
+    g = h = sl2(1, 1, 0, 1)
+    assert snap_sign(projective_multiplier(g, h, m)) == 1
+    # n(1) n(1) = n(2): the product carries the error twice, op(gh) once, and
+    # the difference lives in the last column alone
+    corrupt_letters(monkeypatch, "n", m.size - 1)
+    with pytest.raises(ModelInconsistencyError):
+        projective_multiplier(g, h, m)
+
+
+def test_twist_sees_a_last_block_corruption(monkeypatch):
+    m = build_model(*STREAMED)
+    assert twist_intertwiner_check(2, m)
+    corrupt_letters(monkeypatch, "t", m.size - 1, only=lambda model: model.psi.scale != 1)
+    assert not twist_intertwiner_check(2, m)
+
+
+def test_parity_sees_a_middle_block_corruption(monkeypatch):
+    # P E P moves a column j to -j, and the first block mirrors into the last,
+    # so the telling corruption for parity sits in a middle block
+    m = build_model(*STREAMED)
+    j = m.size // 2
+    blocks = _blocks(m)
+    middle = [i for i, cols in enumerate(blocks) if j in cols or m.size - j in cols]
+    assert 0 not in middle and len(blocks) - 1 not in middle
+    assert parity_invariance_check(m, ("t", 2))
+    corrupt_letters(monkeypatch, "t", j)
+    assert not parity_invariance_check(m, ("t", 2))
+
+
+def test_dense_materialisers_stop_at_the_cap():
+    big = build_model(11, 2)  # M = 14641: a dense complex matrix would take 3.4 GB
+    calls = [
+        lambda: operator(big, ("w",)),
+        lambda: op_of_word(big, [("n", 1), ("w",)]),
+        lambda: operator_for_matrix(big, sl2(1, 1, 0, 1)),
+        big.fourier_matrix,
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedDomainError, match="cap"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before anything was allocated
+
+
+# Runs one multiplier with a w letter, a parity check and a twist check on
+# the (7,2) model (M = 2401) and prints the process's peak resident set in
+# KiB. On Linux ru_maxrss also carries the resident set of the process that
+# spawned this one, so the probe reads its own high-water mark, VmHWM.
+MEMORY_PROBE = """\
+import resource
+from metaplectic.cocycle import sl2
+from metaplectic.weil_rep import (
+    build_model, parity_invariance_check, projective_multiplier, twist_intertwiner_check,
+)
+m = build_model(7, 2)
+c = projective_multiplier(sl2(0, 1, -1, 0), sl2(1, 1, 0, 1), m)
+assert abs(abs(c) - 1) < 1e-6, c
+assert parity_invariance_check(m, ("w",))
+assert twist_intertwiner_check(3, m)
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak)
+"""
+
+
+def test_streamed_checks_stay_small_at_m2401():
+    # dense M x M sides peaked near 380 MB here; streamed blocks stay near
+    # the cost of importing numpy
+    src = Path(weil_rep.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stdout.split()[-1])
+    assert peak_kib < 150 * 1024, peak_kib
 
 
 def test_multiplier_rejects_non_proportional_sides(monkeypatch):
