@@ -11,25 +11,13 @@ per-case timings stay null unless --timings is passed.
 """
 
 import argparse
-import json
-import random
 import sys
 import time
 from fractions import Fraction
 
-from .cocycle import (
-    Scalar,
-    StructuredElement,
-    Torus,
-    UnramifiedCharacter,
-    block_lemmas_check,
-    cocycle_identity_check,
-    gl2,
-    global_sigma_product,
-    sigma_eval,
-    sigma_torus_even_reduced,
-    sl2,
-)
+# Library code is imported inside the function that runs it, so a one-shot
+# process loads (and, without a bytecode cache, compiles) only what its
+# command needs. Every command parses a place or a prime.
 from .errors import (
     ConvergenceDomainError,
     DataError,
@@ -39,33 +27,7 @@ from .errors import (
     PreconditionError,
     UnsupportedDomainError,
 )
-from .local_arith import (
-    Place,
-    hilbert,
-    is_prime,
-    legendre,
-    reciprocity_product,
-    solvability_oracle,
-    square_class_rep,
-)
-from .symsq import (
-    RAMIFIED,
-    SatakeData,
-    euler_product,
-    even_partition_gf,
-    even_partition_identity_check,
-    local_factors,
-    partitions_at_most,
-    pole_report,
-    rs_factorization_check,
-    schur_jt,
-    schur_tableau_oracle,
-    sym_square_series,
-    tate_factor_ratio,
-    toral_series,
-    unramified_zeta_check,
-)
-from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
+from .local_arith import Place, is_prime
 
 _CAUGHT = (
     DomainError,
@@ -86,7 +48,7 @@ def render(x) -> str:
     roots by name, floats/complex rounded for display only."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, Fraction, EighthRoot)):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, float):
         return f"{x:.9g}"
@@ -186,6 +148,8 @@ def _split_top(text: str, sep: str = ","):
 
 
 def _parse_payload(text: str):
+    from .cocycle import Scalar, Torus, gl2, sl2
+
     text = text.strip()
     for head, close in (("torus(", ")"), ("central(", ")"), ("sl2(", ")"), ("gl2(", ")")):
         if text.startswith(head) and text.endswith(close):
@@ -203,7 +167,9 @@ def _parse_payload(text: str):
     raise DataError(f"cannot parse element payload: {text!r}")
 
 
-def parse_element(text: str) -> StructuredElement:
+def parse_element(text: str) -> "StructuredElement":
+    from .cocycle import StructuredElement
+
     text = text.strip()
     if text.startswith("blocks[") and text.endswith("]"):
         inner = _split_top(text[len("blocks[") : -1])
@@ -287,6 +253,8 @@ _SYMBOL_GRID = (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10)
 
 
 def _suite_symbols(rng):
+    from .local_arith import hilbert, reciprocity_product, solvability_oracle
+
     cases = []
 
     def reciprocity():
@@ -328,6 +296,18 @@ def _suite_symbols(rng):
 
 
 def _suite_cocycles(rng):
+    from .cocycle import (
+        StructuredElement,
+        Torus,
+        block_lemmas_check,
+        cocycle_identity_check,
+        global_sigma_product,
+        sigma_eval,
+        sigma_torus_even_reduced,
+        sl2,
+    )
+    from .local_arith import hilbert
+
     cases = []
     torus = StructuredElement.torus
     p3, p5 = Place.finite(3), Place.finite(5)
@@ -419,6 +399,9 @@ def _suite_cocycles(rng):
 
 
 def _suite_weil(rng):
+    from .local_arith import hilbert, square_class_rep
+    from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
+
     cases = []
     places = [Place.finite(p) for p in (3, 5, 7, 11, 13)] + [Place.real()]
 
@@ -470,12 +453,17 @@ def _suite_weil(rng):
 
 
 def _least_nonresidue(p: int) -> int:
+    from .local_arith import legendre
+
     return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
 def _suite_weilrep(rng, p=3, big_n=1):
-    # imported here so that only this suite loads numpy
+    from .cocycle import UnramifiedCharacter, sl2
+    from .local_arith import hilbert
+    from .weil_index import mu
     from .weil_rep import (
+        _DENSE_SIZE_CAP,
         build_model,
         identity_blocks,
         parity_invariance_check,
@@ -486,6 +474,13 @@ def _suite_weilrep(rng, p=3, big_n=1):
         word_action,
     )
 
+    # Each multiplier check streams O(M^2) work, so past the dense cap the
+    # suite would run for minutes; an invalid p or N keeps build_model's error.
+    if big_n >= 1 and p ** (2 * big_n) > _DENSE_SIZE_CAP:
+        raise UnsupportedDomainError(
+            f"suite weilrep at p={p}, N={big_n} has M = {p ** (2 * big_n)} carrier"
+            f" points, above the cap of {_DENSE_SIZE_CAP}"
+        )
     cases = []
     model = build_model(p, big_n)
     nonres = _least_nonresidue(p)
@@ -608,6 +603,8 @@ def _suite_weilrep(rng, p=3, big_n=1):
 
 
 def _random_sat(rng, r, q=7, chi=Fraction(1)):
+    from .symsq import SatakeData
+
     alphas = []
     while len(alphas) < r:
         a = Fraction(rng.randint(1, 4), rng.randint(1, 4))
@@ -618,6 +615,20 @@ def _random_sat(rng, r, q=7, chi=Fraction(1)):
 
 
 def _suite_symsq(rng):
+    from .symsq import (
+        SatakeData,
+        euler_product,
+        even_partition_gf,
+        even_partition_identity_check,
+        partitions_at_most,
+        pole_report,
+        rs_factorization_check,
+        schur_jt,
+        schur_tableau_oracle,
+        tate_factor_ratio,
+        unramified_zeta_check,
+    )
+
     cases = []
 
     def schur_agreement():
@@ -702,17 +713,26 @@ _SUITES = {
 
 
 def cmd_suite(args) -> int:
+    import json
+    import random
+
     if args.name == "all":
         names = ["symbols", "cocycles", "weil", "weilrep", "symsq"]
     else:
         names = [args.name]
+    # Every suite is built before any runs, so a refused weilrep model stops
+    # the run before a report is printed. weilrep is built last: it loads
+    # numpy, and a module compiled after that (no bytecode cache) raises the
+    # process's peak memory by about 2 MB.
+    built = {}
+    for name in sorted(names, key=lambda name: name == "weilrep"):
+        rng = random.Random(args.seed)
+        builder = _SUITES[name]
+        built[name] = builder(rng, args.p, args.N) if name == "weilrep" else builder(rng)
     combined = {"suite": args.name, "cases": [], "summary": None}
     code = 0
     for name in names:
-        rng = random.Random(args.seed)
-        builder = _SUITES[name]
-        cases = builder(rng, args.p, args.N) if name == "weilrep" else builder(rng)
-        report = run_cases(name, cases, timings=args.timings, case_filter=args.suite)
+        report = run_cases(name, built[name], timings=args.timings, case_filter=args.suite)
         print_report(report)
         combined["cases"].extend(report["cases"])
         code = max(code, report_exit_code(report))
@@ -732,12 +752,16 @@ def cmd_suite(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .local_arith import hilbert
+
     place = parse_place(args.place)
     print(render(hilbert(parse_rational(args.a), parse_rational(args.b), place)))
     return 0
 
 
 def cmd_cocycle(args) -> int:
+    from .cocycle import sigma_eval
+
     place = parse_place(args.place)
     g = parse_element(args.g)
     h = parse_element(args.h)
@@ -746,6 +770,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_weil_gamma(args) -> int:
+    from .weil_index import AdditiveCharacter, gamma
+
     place = parse_place(args.place)
     psi = AdditiveCharacter(place, parse_rational(args.scale))
     print(render(gamma(psi)))
@@ -753,19 +779,25 @@ def cmd_weil_gamma(args) -> int:
 
 
 def cmd_weil_mu(args) -> int:
+    from .weil_index import AdditiveCharacter, mu
+
     place = parse_place(args.place)
     psi = AdditiveCharacter(place, parse_rational(args.scale))
     print(render(mu(parse_rational(args.a), psi)))
     return 0
 
 
-def _sat_from_args(args) -> SatakeData:
+def _sat_from_args(args) -> "SatakeData":
+    from .symsq import RAMIFIED, SatakeData
+
     alphas = parse_rational_list(args.alphas)
     chi = RAMIFIED if args.chi.strip() == "ramified" else parse_rational(args.chi)
     return SatakeData(args.r, alphas, args.q, chi_val=chi)
 
 
 def cmd_lfactor(args) -> int:
+    from .symsq import local_factors
+
     sat = _sat_from_args(args)
     f = local_factors(sat)
     print(f"sym: {render_poly(f.sym.coeffs)}")
@@ -776,6 +808,8 @@ def cmd_lfactor(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from .symsq import sym_square_series, toral_series
+
     sat = _sat_from_args(args)
     series = toral_series(sat, args.deg)
     ok = series == sym_square_series(sat, args.deg)
@@ -785,6 +819,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .symsq import euler_product
+
     table = ingest_satake(args.table)
     val = euler_product([sat for _, sat in table], parse_rational(args.s))
     print(render(val))
@@ -792,6 +828,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_poles(args) -> int:
+    from .symsq import pole_report
+
     trivial = {"true": True, "false": False}[args.trivial]
     rep = pole_report(args.r, trivial)
     if not rep.normalizer_poles:
@@ -829,6 +867,10 @@ def ingest_satake(path: str):
     chi may also be "ramified". Primes must be distinct. Errors carry the
     entry index and field name.
     """
+    import json
+
+    from .symsq import RAMIFIED, SatakeData
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -880,6 +922,10 @@ def ingest_satake(path: str):
 
 
 def cmd_ingest(args) -> int:
+    import json
+
+    from .symsq import RAMIFIED
+
     table = ingest_satake(args.path)
     rows = []
     for p, sat in table:

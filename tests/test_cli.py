@@ -2,12 +2,13 @@
 determinism, and the Satake ingestion diagnostics."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from metaplectic import cli
+from metaplectic import cli, symsq
 from metaplectic.cli import (
     Case,
     ingest_satake,
@@ -22,6 +23,7 @@ from metaplectic.cli import (
 )
 from metaplectic.errors import DataError
 from metaplectic.local_arith import TruncatedSeries
+from metaplectic.weil_index import EighthRoot
 
 
 # parsing helpers ----------------------------------------------------------
@@ -55,6 +57,30 @@ def test_render():
     assert render_poly((1, -3, 3, -1)) == "1 - 3*X + 3*X^2 - X^3"
     assert render_poly((1, 1)) == "1 + X"
     assert render_poly((0,)) == "0"
+
+
+def test_render_eighth_roots_by_name():
+    for k in range(8):
+        assert render(EighthRoot(k)) == str(EighthRoot(k))
+
+
+# one scale per Gauss-sign class; -1 needs p = 1 mod 4, so it is pinned at 5
+@pytest.mark.parametrize(
+    "place, scale, want",
+    [
+        ("3", "2", "1"),
+        ("3", "3", "i"),
+        ("3", "6", "-i"),
+        ("5", "5", "1"),
+        ("5", "10", "-1"),
+        ("7", "3", "1"),
+        ("7", "7", "i"),
+        ("7", "21", "-i"),
+    ],
+)
+def test_weil_gamma_prints_each_sign_class(place, scale, want, capsys):
+    assert main(["weil-gamma", "--place", place, "--scale", scale]) == 0
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_parse_element():
@@ -181,7 +207,7 @@ def test_zeta_command(capsys):
 def test_zeta_prints_the_toral_sum_it_checked(capsys, monkeypatch):
     # with the symmetric-square side broken, the toral sum is still printed
     monkeypatch.setattr(
-        cli, "sym_square_series", lambda sat, degree: TruncatedSeries.one(degree)
+        symsq, "sym_square_series", lambda sat, degree: TruncatedSeries.one(degree)
     )
     code = main(["zeta", "--r", "2", "--alphas", "1,1", "--q", "7", "--deg", "6"])
     assert code == 1
@@ -276,6 +302,33 @@ def test_weilrep_suite_past_small_primes(p, tmp_path, capsys):
     assert main(["suite", "weilrep", "--p", str(p), "--json", str(path)]) == 0
     summary = json.loads(path.read_text())["summary"]
     assert summary["pass"] == summary["total"] == 7
+
+
+@pytest.mark.parametrize("p, big_n", [(11, 2), (5, 3)])
+def test_weilrep_suite_refuses_a_model_past_the_cap(p, big_n, capsys):
+    started = time.perf_counter()
+    assert main(["suite", "weilrep", "--p", str(p), "--N", str(big_n)]) == 2
+    assert time.perf_counter() - started < 5
+    err = capsys.readouterr().err
+    assert f"M = {p ** (2 * big_n)}" in err and "cap of 2500" in err
+
+
+def test_suite_all_refuses_a_large_model_before_any_suite_runs(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["suite", "all", "--p", "11", "--N", "2", "--json", str(path)]) == 2
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "p, big_n, message", [("9", "1", "need an odd prime"), ("3", "0", "window depth")]
+)
+def test_weilrep_suite_keeps_the_model_errors(p, big_n, message, capsys):
+    assert main(["suite", "all", "--p", p, "--N", big_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 # ingestion ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The package root resolves its names lazily, and numpy loads only where it
-is used: the finite Weil model and the two brute-force oracles."""
+"""The package root resolves its names lazily, numpy loads only where it is
+used (the finite Weil model and the two brute-force oracles), and each CLI
+command loads only the package modules it runs."""
 
 import json
 import os
@@ -128,3 +129,73 @@ def test_command_does_not_load_numpy(argv, tmp_path):
 
 def test_weilrep_suite_loads_numpy(tmp_path):
     assert _numpy_loaded(["suite", "weilrep"], tmp_path)
+
+
+# each command loads only the library modules it runs ---------------------------------
+
+# Put first on the path of a `python -m metaplectic.cli` process: at exit it
+# writes the package modules the process loaded to the file named in
+# MODULES_OUT. The -m form runs cli as __main__, so metaplectic.cli must not
+# appear: a `from .cli import ...` anywhere would compile cli.py twice.
+SITECUSTOMIZE = """\
+import atexit
+import os
+import sys
+
+
+def _report():
+    names = sorted(m for m in sys.modules if m.split(".")[0] == "metaplectic")
+    with open(os.environ["MODULES_OUT"], "w") as fh:
+        fh.write("\\n".join(names))
+
+
+atexit.register(_report)
+"""
+
+# every command parses a place or a prime
+ALWAYS = {"metaplectic", "metaplectic.errors", "metaplectic.local_arith"}
+
+# command -> (argv, the modules it loads besides ALWAYS)
+LOADS = {
+    "hilbert": (NUMPY_FREE["hilbert"], ()),
+    "weil-gamma": (NUMPY_FREE["weil-gamma"], ("weil_index",)),
+    "weil-mu": (NUMPY_FREE["weil-mu"], ("weil_index",)),
+    "cocycle": (NUMPY_FREE["cocycle"], ("weil_index", "cocycle")),
+    "lfactor": (NUMPY_FREE["lfactor"], ("symsq",)),
+    "zeta": (NUMPY_FREE["zeta"], ("symsq",)),
+    "poles": (NUMPY_FREE["poles"], ("symsq",)),
+    "ingest": (NUMPY_FREE["ingest"], ("symsq",)),
+    "euler": (NUMPY_FREE["euler"], ("symsq",)),
+    "suite-symbols": (["suite", "symbols"], ()),
+    "suite-weil": (NUMPY_FREE["suite-weil"], ("weil_index",)),
+    "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("weil_index", "cocycle")),
+    "suite-symsq": (NUMPY_FREE["suite-symsq"], ("symsq",)),
+}
+
+
+def _modules_loaded(argv, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(TABLE))
+    argv = [a.replace("{table}", str(table)) for a in argv]
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    out = tmp_path / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaplectic.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(hook), str(SRC)]),
+             "MODULES_OUT": str(out)},
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(out.read_text().split("\n"))
+
+
+@pytest.mark.parametrize("argv, extra", LOADS.values(), ids=LOADS.keys())
+def test_command_loads_only_its_modules(argv, extra, tmp_path):
+    loaded = _modules_loaded(argv, tmp_path)
+    assert "metaplectic.cli" not in loaded
+    assert loaded == ALWAYS | {f"metaplectic.{m}" for m in extra}
