@@ -5,12 +5,15 @@ deterministic report (JSON on request, human table always), the compute
 subcommands evaluate one quantity and print it exactly, and `ingest` loads
 and validates a Satake table from JSON.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or data errors.
-Reports are byte-identical across runs: sampling is seeded (default 0) and
-per-case timings stay null unless --timings is passed.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or data errors,
+or a reader that closed stdout before the output was written (one line on
+stderr names BrokenPipeError). Reports are byte-identical across runs:
+sampling is seeded (default 0) and per-case timings stay null unless
+--timings is passed. The suites' checks live in `checks`.
 """
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -192,9 +195,16 @@ class Case:
         self.fn = fn  # () -> (expected, got); pass iff rendered equal
 
 
+def _summary(rows):
+    counts = {"pass": 0, "fail": 0, "error": 0, "skipped": 0}
+    for row in rows:
+        counts[row["status"]] += 1
+    counts["total"] = len(rows)
+    return counts
+
+
 def run_cases(suite_name, cases, timings=False, case_filter=None):
     rows = []
-    counts = {"pass": 0, "fail": 0, "error": 0, "skipped": 0}
     for case in cases:
         if case_filter and not case.id.startswith(case_filter):
             continue
@@ -206,7 +216,6 @@ def run_cases(suite_name, cases, timings=False, case_filter=None):
             expected, got = "", f"{type(exc).__name__}: {exc}"
             status = "error"
         elapsed = (time.perf_counter() - started) * 1000.0
-        counts[status] += 1
         rows.append(
             {
                 "id": case.id,
@@ -217,13 +226,7 @@ def run_cases(suite_name, cases, timings=False, case_filter=None):
                 "elapsed": round(elapsed, 3) if timings else None,
             }
         )
-    counts["total"] = len(rows)
-    return {"suite": suite_name, "cases": rows, "summary": counts}
-
-
-def report_exit_code(report) -> int:
-    bad = report["summary"]["fail"] + report["summary"]["error"]
-    return 1 if bad else 0
+    return {"suite": suite_name, "cases": rows, "summary": _summary(rows)}
 
 
 def print_report(report, stream=None):
@@ -249,472 +252,11 @@ def print_report(report, stream=None):
 
 # suites -----------------------------------------------------------------------
 
-_SYMBOL_GRID = (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10)
-
-
-def _suite_symbols(rng):
-    from .local_arith import hilbert, reciprocity_product, solvability_oracle
-
-    cases = []
-
-    def reciprocity():
-        bad = 0
-        for _ in range(200):
-            a = Fraction(rng.randint(1, 60), rng.randint(1, 60)) * rng.choice((1, -1))
-            b = Fraction(rng.randint(1, 60), rng.randint(1, 60)) * rng.choice((1, -1))
-            if reciprocity_product(a, b) != 1:
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("symbols/reciprocity", "200 seeded pairs", reciprocity))
-
-    for place in [Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7), Place.real()]:
-
-        def agreement(place=place):
-            bad = 0
-            for a in _SYMBOL_GRID:
-                for b in _SYMBOL_GRID:
-                    if hilbert(a, b, place) != solvability_oracle(a, b, place):
-                        bad += 1
-            return 0, bad
-
-        cases.append(
-            Case(f"symbols/oracle@{place}", "144 pairs vs solvability", agreement)
-        )
-
-    def bilinear():
-        place = Place.finite(3)
-        bad = 0
-        for _ in range(50):
-            a, b, c = (Fraction(rng.randint(1, 30)) for _ in range(3))
-            if hilbert(a * b, c, place) != hilbert(a, c, place) * hilbert(b, c, place):
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("symbols/bilinearity@3", "50 triples", bilinear))
-    return cases
-
-
-def _suite_cocycles(rng):
-    from .cocycle import (
-        StructuredElement,
-        Torus,
-        block_lemmas_check,
-        cocycle_identity_check,
-        global_sigma_product,
-        sigma_eval,
-        sigma_torus_even_reduced,
-        sl2,
-    )
-    from .local_arith import hilbert
-
-    cases = []
-    torus = StructuredElement.torus
-    p3, p5 = Place.finite(3), Place.finite(5)
-
-    def normalization():
-        e = StructuredElement.identity(3)
-        return 1, sigma_eval(e, e, p3)
-
-    cases.append(Case("cocycles/normalization", "identity pair, r=3", normalization))
-
-    def torus_triples():
-        entries = [Fraction(1), Fraction(2), Fraction(3)]
-        toruses = [torus(a, b) for a in entries for b in entries]
-        bad = 0
-        for g in toruses:
-            for h in toruses:
-                for k in toruses:
-                    if not cocycle_identity_check(g, h, k, p3):
-                        bad += 1
-        return 0, bad
-
-    cases.append(Case("cocycles/torus-2-cocycle", "729 exhaustive triples @3", torus_triples))
-
-    def reduced():
-        reps = [Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
-        bad = 0
-        for _ in range(30):
-            def te():
-                pairs = []
-                for _ in range(2):
-                    c = rng.choice(reps)
-                    s = Fraction(rng.randint(1, 9))
-                    pairs.extend([c * s * s, c])
-                return torus(*pairs)
-
-            t, h = te(), te()
-            if sigma_torus_even_reduced(t, h, p5) != sigma_eval(t, h, p5):
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("cocycles/reduced-torus@5", "30 even-subtorus pairs", reduced))
-
-    def center():
-        bad = 0
-        for r in (2, 3, 4):
-            for a in (2, 3, 5):
-                for b in (2, 3, 5):
-                    za = StructuredElement.central(a, r)
-                    zb = StructuredElement.central(b, r)
-                    expect = hilbert(a, b, p3) ** (r * (r - 1) // 2)
-                    if sigma_eval(za, zb, p3) != expect:
-                        bad += 1
-        return 0, bad
-
-    cases.append(Case("cocycles/center-exponent", "r in {2,3,4}, 9 scalar pairs", center))
-
-    def unipotent():
-        u = StructuredElement.unipotent_upper([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
-        v = StructuredElement.unipotent_upper([[1, 0, 7], [0, 1, 1], [0, 0, 1]])
-        return 1, sigma_eval(u, v, p5)
-
-    cases.append(Case("cocycles/unipotent-trivial", "two upper unipotents @5", unipotent))
-
-    def global_product():
-        bad = 0
-        for _ in range(25):
-            g = torus(Fraction(rng.randint(1, 20)), Fraction(rng.randint(1, 20)))
-            h = torus(Fraction(rng.randint(1, 20)), Fraction(rng.randint(1, 20)))
-            if global_sigma_product(g, h) != 1:
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("cocycles/global-product", "25 torus pairs, all places", global_product))
-
-    def blocks():
-        bad = 0
-        pairs = [
-            (Torus((Fraction(4), Fraction(1))), Torus((Fraction(9), Fraction(1)))),
-            (sl2(0, 1, -1, 0), sl2(1, 2, 0, 1)),
-            (sl2(2, 0, 0, Fraction(1, 2)), Torus((Fraction(9), Fraction(4)))),
-        ]
-        for g, h in pairs:
-            if block_lemmas_check(0, 1, g, h, p3) is not True:
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("cocycles/block-lemmas", "square-det blocks @3", blocks))
-    return cases
-
-
-def _suite_weil(rng):
-    from .local_arith import hilbert, square_class_rep
-    from .weil_index import AdditiveCharacter, EighthRoot, gamma, mu
-
-    cases = []
-    places = [Place.finite(p) for p in (3, 5, 7, 11, 13)] + [Place.real()]
-
-    for place in places:
-
-        def mu_mult(place=place):
-            psi = AdditiveCharacter(place)
-            if place.is_real:
-                reps = [Fraction(1), Fraction(-1)]
-            else:
-                reps = [
-                    square_class_rep(x, place)
-                    for x in (1, 2, 3, place.p, 2 * place.p, 3 * place.p)
-                ]
-                reps = sorted(set(reps))
-            bad = 0
-            for a in reps:
-                for b in reps:
-                    lhs = mu(a * b, psi)
-                    rhs = mu(a, psi) * mu(b, psi) * hilbert(a, b, place)
-                    if lhs != rhs:
-                        bad += 1
-            return 0, bad
-
-        cases.append(
-            Case(f"weil/mu-multiplicativity@{place}", "square-class rep pairs", mu_mult)
-        )
-
-        def inversion(place=place):
-            psi = AdditiveCharacter(place)
-            return EighthRoot(0), mu(-1, psi) * gamma(psi) * gamma(psi)
-
-        cases.append(Case(f"weil/mu(-1)gamma^2@{place}", "closed identity", inversion))
-
-    def class_invariance():
-        bad = 0
-        for p in (3, 5, 7):
-            place = Place.finite(p)
-            for a in (2, 3, p):
-                for c in (2, 3, 5):
-                    g1 = gamma(AdditiveCharacter(place, a))
-                    g2 = gamma(AdditiveCharacter(place, a * c * c))
-                    if g1 != g2:
-                        bad += 1
-        return 0, bad
-
-    cases.append(Case("weil/gamma-square-class", "scales a vs a*c^2", class_invariance))
-    return cases
-
-
-def _least_nonresidue(p: int) -> int:
-    from .local_arith import legendre
-
-    return next(n for n in range(2, p) if legendre(n, p) == -1)
-
-
-def _suite_weilrep(rng, p=3, big_n=1):
-    from .cocycle import UnramifiedCharacter, sl2
-    from .local_arith import hilbert
-    from .weil_index import mu
-    from .weil_rep import (
-        _DENSE_SIZE_CAP,
-        build_model,
-        identity_blocks,
-        parity_invariance_check,
-        projective_multiplier,
-        tensor_whittaker_check,
-        twist_intertwiner_check,
-        whittaker_functional_exists,
-        word_action,
-    )
-
-    # Each multiplier check streams O(M^2) work, so past the dense cap the
-    # suite would run for minutes; an invalid p or N keeps build_model's error.
-    if big_n >= 1 and p ** (2 * big_n) > _DENSE_SIZE_CAP:
-        raise UnsupportedDomainError(
-            f"suite weilrep at p={p}, N={big_n} has M = {p ** (2 * big_n)} carrier"
-            f" points, above the cap of {_DENSE_SIZE_CAP}"
-        )
-    cases = []
-    model = build_model(p, big_n)
-    nonres = _least_nonresidue(p)
-    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(1))
-
-    def torus_multiplier():
-        bad = 0
-        vals = [1, 2, -1, 4]
-        if big_n >= 2:
-            vals += [p, 2 * p]  # valuation-1 entries need the deeper window
-        for a in vals:
-            for b in vals:
-                got = projective_multiplier(
-                    sl2(a, 0, 0, Fraction(1, a)), sl2(b, 0, 0, Fraction(1, b)), model
-                )
-                want = hilbert(a, b, model.place)
-                if abs(got - want) > 1e-6:
-                    bad += 1
-        return 0, bad
-
-    cases.append(
-        Case(f"weilrep/torus-multiplier@({p},{big_n})", "25 diagonal pairs", torus_multiplier)
-    )
-
-    def cocycle_property():
-        # valuation-1 torus entries only when big_n >= 2, as in torus_multiplier
-        deep = (p,) if big_n >= 2 else ()
-        mats = []
-        for _ in range(8):
-            kind = rng.choice(("t", "n", "w", "b"))
-            if kind == "t":
-                a = rng.choice((1, 2, -1) + deep)
-                mats.append(sl2(a, 0, 0, Fraction(1, a)))
-            elif kind == "n":
-                mats.append(sl2(1, rng.randint(-3, 3), 0, 1))
-            elif kind == "w":
-                mats.append(sl2(0, 1, -1, 0))
-            else:
-                a = rng.choice((2,) + deep)
-                mats.append(sl2(a, rng.randint(0, 2), 0, Fraction(1, a)))
-        bad = 0
-        checked = 0
-        # draw until 20 triples stay in the window; 99 only if the cap is hit
-        for _ in range(200):
-            if checked == 20:
-                break
-            g, h, k = rng.choice(mats), rng.choice(mats), rng.choice(mats)
-            try:
-                lhs = projective_multiplier(g, h, model) * projective_multiplier(
-                    g.compose(h), k, model
-                )
-                rhs = projective_multiplier(g, h.compose(k), model) * projective_multiplier(
-                    h, k, model
-                )
-            except _CAUGHT:
-                continue
-            checked += 1
-            if abs(lhs - rhs) > 1e-6:
-                bad += 1
-        return 0, bad if checked == 20 else 99
-
-    cases.append(
-        Case(f"weilrep/2-cocycle@({p},{big_n})", "20 seeded SL2 triples", cocycle_property)
-    )
-
-    def parity():
-        gens = [("w",), ("n", 1), ("n", 2), ("t", 2), ("t", -1), ("sign", -1)]
-        bad = sum(0 if parity_invariance_check(model, g) else 1 for g in gens)
-        for g in [("d", 1), ("central", 2)]:
-            if not parity_invariance_check(model, g, chi_value=Fraction(1)):
-                bad += 1
-        return 0, bad
-
-    cases.append(Case(f"weilrep/parity@({p},{big_n})", "all generator kinds", parity))
-
-    def central_scalar():
-        import numpy as np
-
-        bad = 0
-        for a in (1, 2, -1, 4):
-            # the central letter against the scalar times each identity block
-            act = word_action(model, [("central", a)], chi=chi)
-            want = complex(chi.value(a)) * mu(a, model.psi).value()
-            if not all(np.allclose(act(X), want * X, atol=1e-9) for X in identity_blocks(model)):
-                bad += 1
-        return 0, bad
-
-    cases.append(
-        Case(f"weilrep/central-scalar@({p},{big_n})", "units 1,2,-1,4", central_scalar)
-    )
-
-    def whittaker():
-        expect = [True, True, False, False]
-        got = [
-            whittaker_functional_exists(model, 1),
-            whittaker_functional_exists(model, 4),
-            whittaker_functional_exists(model, nonres),
-            whittaker_functional_exists(model, p),
-        ]
-        return expect, got
-
-    cases.append(
-        Case(f"weilrep/whittaker@({p},{big_n})", "classes 1, 4, nonres, p", whittaker)
-    )
-
-    def tensor():
-        ok = tensor_whittaker_check(model, (1, 2), (1, 2))
-        bad = tensor_whittaker_check(model, (1, 1), (1, nonres))
-        return (True, False), (ok, bad)
-
-    cases.append(Case(f"weilrep/tensor@({p},{big_n})", "two-block pairs", tensor))
-
-    def twist():
-        return True, twist_intertwiner_check(nonres, model)
-
-    cases.append(
-        Case(f"weilrep/twist@({p},{big_n})", "nonresidue unit twist", twist)
-    )
-    return cases
-
-
-def _random_sat(rng, r, q=7, chi=Fraction(1)):
-    from .symsq import SatakeData
-
-    alphas = []
-    while len(alphas) < r:
-        a = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        if rng.random() < 0.3:
-            a = -a
-        alphas.append(a)
-    return SatakeData(r, alphas, q, chi_val=chi)
-
-
-def _suite_symsq(rng):
-    from .symsq import (
-        SatakeData,
-        euler_product,
-        even_partition_gf,
-        even_partition_identity_check,
-        partitions_at_most,
-        pole_report,
-        rs_factorization_check,
-        schur_jt,
-        schur_tableau_oracle,
-        tate_factor_ratio,
-        unramified_zeta_check,
-    )
-
-    cases = []
-
-    def schur_agreement():
-        vals = [Fraction(2), Fraction(1, 2), Fraction(3)]
-        bad = 0
-        for total in range(0, 6):
-            for lam in partitions_at_most(total, 3):
-                if schur_jt(lam, vals) != schur_tableau_oracle(lam, vals):
-                    bad += 1
-        return 0, bad
-
-    cases.append(Case("symsq/schur-agreement", "|lambda| <= 5, 3 variables", schur_agreement))
-
-    def gf_frozen():
-        sat = SatakeData(2, [1, 1], 7)
-        gf = even_partition_gf(sat, 5)
-        return [1, 3, 5, 7, 9, 11], [gf[k] for k in range(6)]
-
-    cases.append(Case("symsq/gf-coefficients", "r=2, alphas=(1,1)", gf_frozen))
-
-    def identity():
-        bad = 0
-        for r in (2, 3):
-            for _ in range(2):
-                if not even_partition_identity_check(_random_sat(rng, r), degree=8):
-                    bad += 1
-        return 0, bad
-
-    cases.append(Case("symsq/partition-identity", "r in {2,3}, 2 tuples each", identity))
-
-    def zeta():
-        bad = 0
-        if not unramified_zeta_check(SatakeData(2, [1, 1], 7), 8):
-            bad += 1
-        sat3 = SatakeData(3, [Fraction(2), Fraction(1, 2), Fraction(3)], 5, chi_val=2)
-        if not unramified_zeta_check(sat3, 6):
-            bad += 1
-        return 0, bad
-
-    cases.append(Case("symsq/zeta-check", "r=2 trivial; r=3 chi=2", zeta))
-
-    def rs():
-        bad = 0
-        for r in range(1, 5):
-            if not rs_factorization_check(_random_sat(rng, r, chi=Fraction(2))):
-                bad += 1
-        return 0, bad
-
-    cases.append(Case("symsq/rs-factorization", "r <= 4 seeded tuples", rs))
-
-    def ratio():
-        return Fraction(40, 27), tate_factor_ratio("even", 2, 1, Fraction(1, 4), 1, 3)
-
-    cases.append(Case("symsq/tate-ratio", "even, r=2, s=1/4, q=3", ratio))
-
-    def poles():
-        rep = pole_report(2, True)
-        want = ({Fraction(1, 4), Fraction(3, 4)}, {Fraction(0), Fraction(1)}, 1)
-        got = (set(rep.normalizer_poles), set(rep.l_function_poles), rep.s_to_l_arg(Fraction(3, 4)))
-        return want, got
-
-    cases.append(Case("symsq/pole-report", "trivial composite character", poles))
-
-    def euler():
-        import math
-
-        primes = [q for q in range(2, 100) if is_prime(q)]
-        val = euler_product([SatakeData(1, [1], q) for q in primes], 2)
-        return True, abs(val - math.pi**2 / 6) < 0.011
-
-    cases.append(Case("symsq/euler-zeta2", "primes < 100 at s=2", euler))
-    return cases
-
-
-_SUITES = {
-    "symbols": _suite_symbols,
-    "cocycles": _suite_cocycles,
-    "weil": _suite_weil,
-    "weilrep": _suite_weilrep,
-    "symsq": _suite_symsq,
-}
-
 
 def cmd_suite(args) -> int:
     import json
-    import random
+
+    from .checks import suite_cases
 
     if args.name == "all":
         names = ["symbols", "cocycles", "weil", "weilrep", "symsq"]
@@ -726,21 +268,16 @@ def cmd_suite(args) -> int:
     # process's peak memory by about 2 MB.
     built = {}
     for name in sorted(names, key=lambda name: name == "weilrep"):
-        rng = random.Random(args.seed)
-        builder = _SUITES[name]
-        built[name] = builder(rng, args.p, args.N) if name == "weilrep" else builder(rng)
-    combined = {"suite": args.name, "cases": [], "summary": None}
+        built[name] = [Case(*row) for row in suite_cases(name, args.seed, args.p, args.N)]
+    rows = []
     code = 0
     for name in names:
         report = run_cases(name, built[name], timings=args.timings, case_filter=args.suite)
         print_report(report)
-        combined["cases"].extend(report["cases"])
-        code = max(code, report_exit_code(report))
-    counts = {"pass": 0, "fail": 0, "error": 0, "skipped": 0}
-    for row in combined["cases"]:
-        counts[row["status"]] += 1
-    counts["total"] = len(combined["cases"])
-    combined["summary"] = counts
+        rows.extend(report["cases"])
+        if report["summary"]["fail"] + report["summary"]["error"]:
+            code = 1
+    combined = {"suite": args.name, "cases": rows, "summary": _summary(rows)}
     if args.json:
         payload = json.dumps(combined, indent=2, sort_keys=True) + "\n"
         with open(args.json, "w") as fh:
@@ -1030,9 +567,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        return code
     except _CAUGHT as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written (BrokenPipeError)",
+              file=sys.stderr)
         return 2
 
 

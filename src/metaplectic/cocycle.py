@@ -4,9 +4,9 @@ where closed formulas exist, plus the genuine characters built from them.
 The cocycle sigma_r is a partial evaluator by design: it knows the torus
 rule, the block-diagonal rule (with Kubota's formula inside 2x2 blocks of
 determinant one), the unipotent rule, and the central-scalar rule. Anything
-else raises UnsupportedDomainError rather than extrapolating. The block
-cocycle tau on a standard parabolic Levi has the same shape: per-block
-cocycles times Hilbert cross-terms of determinants.
+else raises UnsupportedDomainError rather than extrapolating. On a standard
+parabolic Levi the block rule is the block cocycle: per-block cocycles
+times Hilbert cross-terms of determinants.
 
 Cocycle formulas are pure Hilbert-symbol algebra and work at every place of
 Q including 2; the character layer (which needs a Weil index) is restricted
@@ -316,9 +316,6 @@ class StructuredElement:
             same_square_class(t[k], t[k + 1], place) for k in range(0, len(t), 2)
         )
 
-    def has_square_det(self, place: Place) -> bool:
-        return same_square_class(self.det(), 1, place)
-
     def entry(self, i: int, j: int) -> Fraction:
         """1-based matrix entry; unipotent elements only."""
         if not self.is_unipotent:
@@ -555,18 +552,6 @@ def cocycle_identity_check(
     return lhs == rhs
 
 
-def tau_p(m: StructuredElement, h: StructuredElement, place: Place) -> Sign:
-    """Block cocycle on a standard Levi of type (r_1, ..., r_k): per-block
-    cocycles times Hilbert cross-terms of block determinants. Same shape as
-    the block rule of sigma_eval; kept separate because its domain is the
-    Levi with a fixed block type, not all of GL_r."""
-    if m.is_unipotent or h.is_unipotent:
-        raise UnsupportedDomainError("block cocycle needs block-diagonal arguments")
-    if m.is_torus and h.is_torus and m.r == h.r:
-        return _torus_rule(m.torus_entries, h.torus_entries, place)
-    return sigma_eval(m, h, place)
-
-
 def _embed(payload, slot: int, partition) -> StructuredElement:
     blocks = []
     for idx, size in enumerate(partition):
@@ -591,7 +576,7 @@ def block_lemmas_check(
     """Commutation and homomorphism checks for blocks in different Levi slots.
 
     Embeds g at slot i and h at slot j (identities elsewhere) and verifies
-    (1) tau is symmetric on the pair of embeddings, and (2) tau of the
+    (1) sigma is symmetric on the pair of embeddings, and (2) sigma of the
     combined block-diagonal pair equals the product of per-block cocycles,
     i.e. the cross-terms vanish. Both hold exactly when the block
     determinants are local squares. With enforce_square=True (the default)
@@ -608,7 +593,7 @@ def block_lemmas_check(
                 )
     ei_g = _embed(g, i, partition)
     ej_h = _embed(h, j, partition)
-    commutes = tau_p(ei_g, ej_h, place) == tau_p(ej_h, ei_g, place)
+    commutes = sigma_eval(ei_g, ej_h, place) == sigma_eval(ej_h, ei_g, place)
 
     both = [
         g if idx == i else (h if idx == j else Torus((Fraction(1),) * size))
@@ -618,7 +603,7 @@ def block_lemmas_check(
     blockwise = 1
     for payload in both:
         blockwise *= _payload_sigma(payload, payload, place)
-    homomorphic = tau_p(full, full, place) == blockwise
+    homomorphic = sigma_eval(full, full, place) == blockwise
     return commutes and homomorphic
 
 

@@ -172,10 +172,6 @@ class Place:
     def is_finite(self) -> bool:
         return self.p is not None
 
-    @property
-    def is_odd(self) -> bool:
-        return self.p is not None and self.p != 2
-
     def __eq__(self, other):
         return isinstance(other, Place) and self.p == other.p
 

@@ -112,18 +112,17 @@ def even_dominant_partitions(half_weight: int, max_parts: int):
 
 class SatakeData:
     """Satake parameters of one unramified local component, with the
-    residue size and the character value at a uniformizer. chi_val may be
-    the string "ramified", in which case twisted local factors collapse to
-    the constant 1."""
+    residue size and the character value at a uniformizer. The Satake
+    values are exact rationals; anything else is a DomainError. chi_val may
+    be the string "ramified", in which case twisted local factors collapse
+    to the constant 1."""
 
     __slots__ = ("r", "alphas", "q", "chi_val")
 
     def __init__(self, r: int, alphas, q: int, chi_val=Fraction(1)):
         if r < 1:
             raise DomainError("rank must be positive")
-        alphas = tuple(
-            a if isinstance(a, complex) else as_fraction(a) for a in alphas
-        )
+        alphas = tuple(as_fraction(a) for a in alphas)
         if len(alphas) != r:
             raise DomainError(f"need {r} Satake values, got {len(alphas)}")
         if any(a == 0 for a in alphas):
@@ -148,11 +147,6 @@ class SatakeData:
         for a in self.alphas[1:]:
             out = out * a
         return out
-
-    def is_exact(self) -> bool:
-        return all(isinstance(a, Fraction) for a in self.alphas) and isinstance(
-            self.chi_val, Fraction
-        )
 
     def __repr__(self):
         return f"SatakeData(r={self.r}, alphas={self.alphas}, q={self.q}, chi={self.chi_val})"
@@ -275,13 +269,6 @@ class LocalFactor:
 
     def inverse_series(self, degree: int) -> TruncatedSeries:
         return TruncatedSeries.from_polynomial(list(self.coeffs), degree).inverse()
-
-    def substituted(self, scale) -> "LocalFactor":
-        """The factor with X replaced by scale * X."""
-        scale = as_fraction(scale)
-        return LocalFactor(
-            [c * scale**k for k, c in enumerate(self.coeffs)]
-        )
 
     def __mul__(self, other):
         return LocalFactor(_poly_mul(list(self.coeffs), list(other.coeffs)))
@@ -542,8 +529,6 @@ def even_partition_identity_check(sat: SatakeData, degree: int = 10) -> bool:
     function times (1 - omega^2 X^r)^{-1}, to the given order. Checked in
     the equivalent form gf = sym_square_series, since 1 - omega^2 X^r is a
     unit of the truncated series ring."""
-    if not sat.is_exact():
-        raise PreconditionError("identity checks need exact Satake values")
     return even_partition_gf(sat, degree) == sym_square_series(sat, degree)
 
 
@@ -592,8 +577,6 @@ def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> TruncatedSe
     that substitution."""
     if sat.chi_val == RAMIFIED:
         raise PreconditionError("the toral computation needs an unramified twist")
-    if not sat.is_exact():
-        raise PreconditionError("identity checks need exact Satake values")
     _check_degree(degree)
     if sat.r < 2:
         raise DomainError(f"symmetric-square zeta check needs rank r >= 2, got {sat.r}")
@@ -699,10 +682,6 @@ class TateFactor:
         return 1.0 / (1.0 - float(self.chi_val) * float(self.q) ** float(-arg))
 
 
-def tate_factor(chi_val, arg_shift, q: int) -> TateFactor:
-    return TateFactor(chi_val, arg_shift, q)
-
-
 def tate_factor_ratio(kind: str, r: int, q_blocks: int, s, twisted_char_val, q: int):
     """The normalizing ratio of Tate factors attached to the spherical
     section of the rank-r intertwining operator:
@@ -723,7 +702,7 @@ def tate_factor_ratio(kind: str, r: int, q_blocks: int, s, twisted_char_val, q: 
     else:
         raise DomainError(f"unknown kind {kind!r}")
     s = as_fraction(s)
-    factor = tate_factor(twisted_char_val, 0, q)
+    factor = TateFactor(twisted_char_val, 0, q)
     num = factor.at(r * (2 * s + Fraction(1, 2)) - r + 1)
     den = factor.at(r * (2 * s + q_blocks + Fraction(1, 2)))
     if num is POLE:

@@ -185,12 +185,6 @@ class ModelFunction:
         raise AttributeError("ModelFunction is immutable")
 
     @classmethod
-    def delta(cls, model: FiniteWeilModel, k: int) -> "ModelFunction":
-        v = np.zeros(model.size, dtype=np.complex128)
-        v[k % model.size] = 1.0
-        return cls(model, v)
-
-    @classmethod
     def indicator_integers(cls, model: FiniteWeilModel) -> "ModelFunction":
         # the p-adic integers inside the carrier: indices divisible by p^N
         v = np.zeros(model.size, dtype=np.complex128)

@@ -3,49 +3,29 @@
 One test per acceptance criterion, in order, each printing a single
 pass/fail verdict line (visible with -v as the test outcome, and via the
 printed line under -s or on failure). Tolerances and time budgets are the
-stated ones; budgets are asserted, not aspirational.
+stated ones; budgets are asserted, not aspirational. The checks shared with
+`metaplectic suite` come from `metaplectic.checks`, run here at the
+acceptance sizes; the oracle comparisons only this gate makes stay below.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from metaplectic.cocycle import (
-    StructuredElement,
-    Torus,
-    UnramifiedCharacter,
-    block_lemmas_check,
-    cocycle_identity_check,
-    gl2,
-    global_sigma_product,
-    sigma_eval,
-    sigma_torus_even_reduced,
-    sl2,
-)
+from metaplectic import checks
+from metaplectic.checks import least_nonresidue
+from metaplectic.cocycle import Torus, UnramifiedCharacter, gl2, sl2
 from metaplectic.errors import PreconditionError
-from metaplectic.local_arith import (
-    Place,
-    hilbert,
-    reciprocity_product,
-    solvability_oracle,
-    square_class_rep,
-)
+from metaplectic.local_arith import Place, square_class_rep
 from metaplectic.symsq import (
     SatakeData,
-    even_partition_identity_check,
     local_factors,
     partitions_at_most,
-    pole_report,
-    rs_factorization_check,
-    schur_jt,
-    schur_tableau_oracle,
     toral_q_values,
     unramified_zeta_check,
-    euler_product,
 )
 from metaplectic.weil_index import (
     AdditiveCharacter,
@@ -57,20 +37,21 @@ from metaplectic.weil_index import (
 from metaplectic.weil_rep import (
     build_model,
     operator,
-    parity_invariance_check,
     projective_multiplier,
     tensor_whittaker_check,
     whittaker_functional_exists,
 )
 
 MODELS = [(3, 1), (3, 2), (5, 1), (7, 1)]
-NONRESIDUE = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2}
 
 
-def _verdict(num: int, label: str, ok: bool, elapsed=None, budget=None):
+def _verdict(num: int, label: str, ok: bool, started=None, budget=None):
+    """Print and assert the verdict; a budgeted criterion passes the
+    perf_counter() reading taken when it started."""
     status = "PASS" if ok else "FAIL"
     timing = ""
     if budget is not None:
+        elapsed = time.perf_counter() - started
         timing = f"  [{elapsed:.2f}s / {budget:g}s budget]"
     print(f"criterion {num:2d} [{status}] {label}{timing}")
     assert ok, f"criterion {num} failed: {label}"
@@ -79,31 +60,16 @@ def _verdict(num: int, label: str, ok: bool, elapsed=None, budget=None):
 
 
 def test_criterion_01_hilbert_reciprocity():
-    rng = random.Random(1)
     started = time.perf_counter()
-    ok = True
-    for _ in range(1000):
-        a = Fraction(rng.randint(1, 50), rng.randint(1, 50)) * rng.choice((1, -1))
-        b = Fraction(rng.randint(1, 50), rng.randint(1, 50)) * rng.choice((1, -1))
-        if reciprocity_product(a, b) != 1:
-            ok = False
-            break
-    elapsed = time.perf_counter() - started
-    _verdict(1, "Hilbert reciprocity on 1000 seeded pairs", ok, elapsed, 1.0)
+    ok = checks.reciprocity_failures(random.Random(1), 1000, 50) == 0
+    _verdict(1, "Hilbert reciprocity on 1000 seeded pairs", ok, started, 1.0)
 
 
 def test_criterion_02_hilbert_oracle_agreement():
-    grid = (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10)
     places = [Place.finite(p) for p in (2, 3, 5, 7)] + [Place.real()]
     started = time.perf_counter()
-    ok = all(
-        hilbert(a, b, v) == solvability_oracle(a, b, v)
-        for v in places
-        for a in grid
-        for b in grid
-    )
-    elapsed = time.perf_counter() - started
-    _verdict(2, "symbol vs solvability oracle on the 144-pair grid", ok, elapsed, 5.0)
+    ok = all(checks.oracle_failures(v) == 0 for v in places)
+    _verdict(2, "symbol vs solvability oracle on the 144-pair grid", ok, started, 5.0)
 
 
 def test_criterion_03_weil_index_identities():
@@ -112,30 +78,23 @@ def test_criterion_03_weil_index_identities():
     for p in (3, 5, 7, 11, 13):
         place = Place.finite(p)
         psi = AdditiveCharacter(place)
-        u = NONRESIDUE[p]
+        u = least_nonresidue(p)
         reps = [Fraction(1), Fraction(u), Fraction(p), Fraction(u * p)]
-        for a, b in itertools.product(reps, reps):
-            lhs = mu(a * b, psi)
-            rhs = mu(a, psi) * mu(b, psi) * hilbert(a, b, place)
-            ok = ok and lhs == rhs
+        ok = ok and checks.mu_multiplicativity_failures(place, reps) == 0
         for a in reps:
             # square-class dependence plus the oracle-snap residual bound
-            ok = ok and gamma(psi.twist(a)) == gamma(psi.twist(a * 4))
+            ok = ok and checks.gamma_class_failures(place, [a], [2]) == 0
             snapped = gamma(psi.twist(a)).value()
             raw = gauss_shell_oracle(p, a)
             ok = ok and abs(raw - snapped) < 1e-6
-    real = AdditiveCharacter(Place.real())
-    for a, b in itertools.product((Fraction(1), Fraction(-1)), repeat=2):
-        ok = ok and mu(a * b, real) == mu(a, real) * mu(b, real) * hilbert(
-            a, b, Place.real()
-        )
-    ok = ok and gamma(real.twist(1)) == gamma(real.twist(9))
-    elapsed = time.perf_counter() - started
+    real = Place.real()
+    ok = ok and checks.mu_multiplicativity_failures(real, [Fraction(1), Fraction(-1)]) == 0
+    ok = ok and checks.gamma_class_failures(real, [1], [3]) == 0
     _verdict(
         3,
         "Weil index multiplicativity and square-class dependence, snapped within 1e-6",
         ok,
-        elapsed,
+        started,
         5.0,
     )
 
@@ -143,10 +102,8 @@ def test_criterion_03_weil_index_identities():
 def test_criterion_04_mu_gamma_inversion():
     ok = True
     for p in (3, 5, 7, 11, 13):
-        psi = AdditiveCharacter(Place.finite(p))
-        ok = ok and mu(-1, psi) * gamma(psi) * gamma(psi) == EighthRoot(0)
-    real = AdditiveCharacter(Place.real())
-    ok = ok and mu(-1, real) * gamma(real) * gamma(real) == EighthRoot(0)
+        ok = ok and checks.mu_gamma_inversion(Place.finite(p)) == EighthRoot(0)
+    ok = ok and checks.mu_gamma_inversion(Place.real()) == EighthRoot(0)
     _verdict(4, "mu(-1) gamma^2 = 1 at every supported place", ok)
 
 
@@ -181,31 +138,12 @@ def test_criterion_05_finite_weil_model():
             ok = ok and min(abs(c - 1), abs(c + 1)) < 1e-6
 
         # 2-cocycle identity on seeded triples (50 per model, 200 total)
-        done = 0
-        attempts = 0
-        while done < 50 and attempts < 2000:
-            attempts += 1
-            g, h, k = (rng.choice(mats) for _ in range(3))
-            try:
-                lhs = projective_multiplier(g, h, model) * projective_multiplier(
-                    g.compose(h), k, model
-                )
-                rhs = projective_multiplier(g, h.compose(k), model) * projective_multiplier(
-                    h, k, model
-                )
-            except PreconditionError:
-                continue
-            ok = ok and abs(lhs - rhs) < 1e-6
-            done += 1
-            triples_done += 1
+        bad, done = checks.multiplier_cocycle_failures(rng, mats, model, 50, 2000)
+        ok = ok and bad == 0
+        triples_done += done
 
         # torus multipliers equal the Hilbert symbol
-        units = [1, 2, -1, 4] + ([p, 2 * p] if N >= 2 else [])
-        for a, b in itertools.product(units, units):
-            c = projective_multiplier(
-                sl2(a, 0, 0, Fraction(1, a)), sl2(b, 0, 0, Fraction(1, b)), model
-            )
-            ok = ok and abs(c - hilbert(a, b, place)) < 1e-6
+        ok = ok and checks.torus_multiplier_failures(model) == 0
 
         # central scalar matches chi(a) mu(a) within 1e-9
         chi = UnramifiedCharacter(place, at_uniformizer=Fraction(1))
@@ -226,18 +164,17 @@ def test_criterion_05_finite_weil_model():
             ok = ok and whittaker_functional_exists(model, a) == expect
 
         # two-block tensor criterion
-        u = NONRESIDUE[p]
-        ok = ok and tensor_whittaker_check(model, (1, 2), (1, 2)) is True
-        ok = ok and tensor_whittaker_check(model, (1, 1), (1, u)) is False
+        u = least_nonresidue(p)
+        same, differ = checks.tensor_pair(model, u)
+        ok = ok and same is True and differ is False
         ok = ok and tensor_whittaker_check(model, (1, u), (4, u * 9)) is True
 
     ok = ok and triples_done == 200
-    elapsed = time.perf_counter() - started
     _verdict(
         5,
         "finite model: sign multipliers, 200-triple cocycle, torus/central/Whittaker/tensor",
         ok,
-        elapsed,
+        started,
         60.0,
     )
 
@@ -245,12 +182,7 @@ def test_criterion_05_finite_weil_model():
 def test_criterion_06_parity():
     ok = True
     for p, N in MODELS:
-        model = build_model(p, N)
-        gens = [("w",), ("n", 1), ("n", 2), ("t", 2), ("t", -1), ("sign", -1)]
-        for gen in gens:
-            ok = ok and parity_invariance_check(model, gen)
-        for gen in [("d", 1), ("central", 2)]:
-            ok = ok and parity_invariance_check(model, gen, chi_value=Fraction(1))
+        ok = ok and checks.parity_failures(build_model(p, N)) == 0
     _verdict(6, "all generators preserve the even/odd split within 1e-9", ok)
 
 
@@ -262,14 +194,9 @@ def test_criterion_07_schur_oracle_equivalence():
         [Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3)],
         [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(4)],
     ]
-    ok = True
-    for vals in value_sets:
-        for total in range(0, 9):
-            for lam in partitions_at_most(total, 4):
-                ok = ok and schur_jt(lam, vals) == schur_tableau_oracle(lam, vals)
-    elapsed = time.perf_counter() - started
+    ok = all(checks.schur_failures(vals, 8) == 0 for vals in value_sets)
     _verdict(
-        7, "Jacobi-Trudi vs tableau enumeration, all |lambda| <= 8, r <= 4", ok, elapsed, 10.0
+        7, "Jacobi-Trudi vs tableau enumeration, all |lambda| <= 8, r <= 4", ok, started, 10.0
     )
 
 
@@ -294,19 +221,15 @@ def test_criterion_08_identity_and_zeta_to_degree_ten():
     pinned = SatakeData(2, [1, 1], 7, chi_val=Fraction(1))
     inv = local_factors(pinned).sym.inverse_series(10)
     ok = ok and [inv[k] for k in range(4)] == [1, 3, 6, 10]
-    ok = ok and even_partition_identity_check(pinned, degree=10)
-    ok = ok and unramified_zeta_check(pinned, 10)
-
-    for r in (2, 3, 4):
-        for sat in _seeded_sats(rng, r, 5):
-            ok = ok and even_partition_identity_check(sat, degree=10)
-            ok = ok and unramified_zeta_check(sat, 10)
-    elapsed = time.perf_counter() - started
+    sats = [pinned] + [sat for r in (2, 3, 4) for sat in _seeded_sats(rng, r, 5)]
+    for sat in sats:
+        ok = ok and checks.identity_failures([sat], 10) == 0
+        ok = ok and checks.zeta_failures([sat], 10) == 0
     _verdict(
         8,
         "partition identity and zeta assembly exact to X^10, r in {2,3,4} x 5 tuples",
         ok,
-        elapsed,
+        started,
         10.0,
     )
 
@@ -327,104 +250,40 @@ def test_criterion_09_square_root_flip_invariance():
 def test_criterion_10_rs_factorization():
     started = time.perf_counter()
     rng = random.Random(10)
-    ok = True
-    for r in range(1, 6):
-        for sat in _seeded_sats(rng, r, 10):
-            ok = ok and rs_factorization_check(sat)
-    elapsed = time.perf_counter() - started
-    _verdict(10, "rs = ext * sym exactly, r <= 5, 10 seeded tuples each", ok, elapsed, 2.0)
+    ok = all(checks.rs_failures(_seeded_sats(rng, r, 10)) == 0 for r in range(1, 6))
+    _verdict(10, "rs = ext * sym exactly, r <= 5, 10 seeded tuples each", ok, started, 2.0)
 
 
 def test_criterion_11_pole_bookkeeping():
-    rep = pole_report(3, True)
-    ok = rep.normalizer_poles == {Fraction(1, 4), Fraction(3, 4)}
-    ok = ok and rep.l_function_poles == {Fraction(0), Fraction(1)}
-    ok = ok and rep.s_to_l_arg(Fraction(3, 4)) == 1
-    empty = pole_report(3, False)
-    ok = ok and empty.normalizer_poles == frozenset()
-    ok = ok and empty.l_function_poles == frozenset()
+    poles = ({Fraction(1, 4), Fraction(3, 4)}, {Fraction(0), Fraction(1)}, 1)
+    ok = checks.pole_summary(3, True) == poles
+    ok = ok and checks.pole_summary(3, False) == (set(), set(), None)
     _verdict(11, "pole report reproduces {1/4, 3/4} / {0, 1} and empties", ok)
 
 
 def test_criterion_12_euler_product_sanity():
     started = time.perf_counter()
-    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
-    sats = [SatakeData(1, [1], p) for p in primes]
-    val = euler_product(sats, 2)
-    ok = abs(val - math.pi**2 / 6) < 1e-2
-    elapsed = time.perf_counter() - started
-    _verdict(12, "r=1 Euler product vs zeta(2) within the tail bound", ok, elapsed, 1.0)
+    ok = checks.euler_zeta2_error(100) < 1e-2
+    _verdict(12, "r=1 Euler product vs zeta(2) within the tail bound", ok, started, 1.0)
 
 
 def test_criterion_13_cocycle_suite():
     started = time.perf_counter()
     rng = random.Random(13)
     p3 = Place.finite(3)
-    ok = True
-
-    # normalization
-    e3 = StructuredElement.identity(3)
-    ok = ok and sigma_eval(e3, e3, p3) == 1
-
-    # 2-cocycle identity on exhaustive torus triples
-    entries = [Fraction(1), Fraction(2), Fraction(3)]
-    toruses = [
-        StructuredElement.torus(a, b) for a in entries for b in entries
-    ]
-    for g, h, k in itertools.product(toruses, toruses, toruses):
-        ok = ok and cocycle_identity_check(g, h, k, p3)
-
-    # reduced even-subtorus rule equals the full cocycle
+    ok = checks.sigma_normalization(3, p3) == 1
+    ok = ok and checks.torus_cocycle_failures([Fraction(1), Fraction(2), Fraction(3)], p3) == 0
     p5 = Place.finite(5)
-    reps = [Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
-    for _ in range(40):
-
-        def te():
-            pairs = []
-            for _ in range(2):
-                c = rng.choice(reps)
-                s = Fraction(rng.randint(1, 9))
-                pairs.extend([c * s * s, c])
-            return StructuredElement.torus(*pairs)
-
-        t, h = te(), te()
-        ok = ok and sigma_torus_even_reduced(t, h, p5) == sigma_eval(t, h, p5)
-
-    # center exponent formula
-    for r in (2, 3, 4, 5):
-        for a, b in itertools.product((2, 3, 5), repeat=2):
-            za = StructuredElement.central(a, r)
-            zb = StructuredElement.central(b, r)
-            want = hilbert(a, b, p3) ** (r * (r - 1) // 2)
-            ok = ok and sigma_eval(za, zb, p3) == want
-
-    # unipotent triviality
-    u = StructuredElement.unipotent_upper([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
-    v = StructuredElement.unipotent_upper([[1, 0, 7], [0, 1, 1], [0, 0, 1]])
-    ok = ok and sigma_eval(u, v, p5) == 1
-
-    # global product formula (includes the p = 2 factor)
-    for _ in range(50):
-        g = StructuredElement.torus(
-            Fraction(rng.randint(1, 30)), Fraction(rng.randint(1, 30))
-        )
-        h = StructuredElement.torus(
-            Fraction(rng.randint(1, 30)), Fraction(rng.randint(1, 30))
-        )
-        ok = ok and global_sigma_product(g, h) == 1
-
-    # block lemmas on square-determinant payloads
-    ok = ok and block_lemmas_check(
-        0, 1, Torus((Fraction(4), Fraction(1))), Torus((Fraction(9), Fraction(1))), p3
-    )
-    ok = ok and block_lemmas_check(0, 1, sl2(0, 1, -1, 0), sl2(1, 2, 0, 1), p3)
-    ok = ok and block_lemmas_check(
-        0, 1, gl2(2, 0, 0, 2), Torus((Fraction(9), Fraction(4))), p3
-    )
-    ok = ok and block_lemmas_check(
-        0, 2, Torus((Fraction(4), Fraction(1))), Torus((Fraction(9), Fraction(1))),
-        p3, partition=(2, 2, 2),
-    )
-
-    elapsed = time.perf_counter() - started
-    _verdict(13, "cocycle suite: all seven exact families", ok, elapsed, 10.0)
+    ok = ok and checks.reduced_torus_failures(rng, 40, p5) == 0
+    ok = ok and checks.center_exponent_failures((2, 3, 4, 5), p3) == 0
+    ok = ok and checks.unipotent_sigma(p5) == 1
+    # the global product includes the p = 2 factor
+    ok = ok and checks.global_product_failures(rng, 50, 30) == 0
+    square_det_blocks = [
+        (0, 1, Torus((Fraction(4), Fraction(1))), Torus((Fraction(9), Fraction(1))), (2, 2)),
+        (0, 1, sl2(0, 1, -1, 0), sl2(1, 2, 0, 1), (2, 2)),
+        (0, 1, gl2(2, 0, 0, 2), Torus((Fraction(9), Fraction(4))), (2, 2)),
+        (0, 2, Torus((Fraction(4), Fraction(1))), Torus((Fraction(9), Fraction(1))), (2, 2, 2)),
+    ]
+    ok = ok and checks.block_lemma_failures(square_det_blocks, p3) == 0
+    _verdict(13, "cocycle suite: all seven exact families", ok, started, 10.0)

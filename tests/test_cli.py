@@ -2,13 +2,17 @@
 determinism, and the Satake ingestion diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from metaplectic import cli, symsq
+import metaplectic
+from metaplectic import checks, local_arith, symsq, weil_rep
 from metaplectic.cli import (
     Case,
     ingest_satake,
@@ -21,7 +25,7 @@ from metaplectic.cli import (
     render_poly,
     run_cases,
 )
-from metaplectic.errors import DataError
+from metaplectic.errors import DataError, ModelInconsistencyError
 from metaplectic.local_arith import TruncatedSeries
 from metaplectic.weil_index import EighthRoot
 
@@ -139,7 +143,7 @@ def test_unexpected_case_exception_is_an_error_row(monkeypatch, capsys):
     row = rep["cases"][0]
     assert (row["status"], row["got"]) == ("error", "KeyError: 17")
     assert rep["summary"]["pass"] == 1  # the report went on past the error
-    monkeypatch.setitem(cli._SUITES, "symbols", lambda rng: [Case("symbols/boom", "x", boom)])
+    monkeypatch.setitem(checks.SUITES, "symbols", lambda: [("symbols/boom", "x", lambda _: boom())])
     assert main(["suite", "symbols"]) == 1
     assert "got 'KeyError: 17'" in capsys.readouterr().out
 
@@ -293,7 +297,70 @@ def test_weilrep_suite_config(capsys):
 
 def test_least_nonresidue():
     want = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 19: 2, 23: 5, 71: 7}
-    assert {p: cli._least_nonresidue(p) for p in want} == want
+    assert {p: checks.least_nonresidue(p) for p in want} == want
+
+
+def test_filtered_case_draws_what_the_full_run_draws(monkeypatch, capsys):
+    # each case has its own generator, so a row rerun alone reproduces it
+    calls = []
+    real = local_arith.hilbert
+
+    def recording(a, b, place):
+        calls.append((a, b, place))
+        return real(a, b, place)
+
+    monkeypatch.setattr(local_arith, "hilbert", recording)
+    assert main(["suite", "symbols", "--seed", "3"]) == 0
+    full = list(calls)
+    calls.clear()
+    assert main(["suite", "symbols", "--seed", "3", "--suite", "symbols/bilinearity"]) == 0
+    capsys.readouterr()
+    # bilinearity is the last symbols row: 50 triples, three symbols each
+    assert len(calls) == 150
+    assert full[-150:] == calls
+
+
+def test_weilrep_cocycle_row_reports_a_broken_model(monkeypatch, tmp_path, capsys):
+    # only a triple that leaves the window is skipped; a model error shows
+    real = weil_rep.projective_multiplier
+    seen = []
+
+    def broken_once(g, h, model, chi=None):
+        seen.append(g)
+        if len(seen) == 1:
+            raise ModelInconsistencyError("injected")
+        return real(g, h, model, chi)
+
+    monkeypatch.setattr(weil_rep, "projective_multiplier", broken_once)
+    path = tmp_path / "report.json"
+    argv = ["suite", "weilrep", "--suite", "weilrep/2-cocycle", "--json", str(path)]
+    assert main(argv) == 1
+    capsys.readouterr()
+    row = json.loads(path.read_text())["cases"][0]
+    assert (row["status"], row["got"]) == ("error", "ModelInconsistencyError: injected")
+
+
+def test_closed_stdout_exits_cleanly():
+    # the reader goes away after the first line; unbuffered, each later
+    # suite's report then meets the closed pipe as it prints
+    src = Path(metaplectic.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metaplectic.cli", "suite", "all", "--seed", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first == "suite: symbols\n"
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: stdout was closed before the output was written (BrokenPipeError)"
+    ]
 
 
 @pytest.mark.parametrize("p", [17, 19])

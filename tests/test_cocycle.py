@@ -23,7 +23,6 @@ from metaplectic.cocycle import (
     sigma_eval,
     sigma_torus_even_reduced,
     sl2,
-    tau_p,
 )
 from metaplectic.errors import (
     DomainError,
@@ -310,14 +309,14 @@ def test_center_triviality_parity():
         assert got == (1 if q % 2 == 0 else -1)
 
 
-# block cocycle tau -----------------------------------------------------
+# the block rule as the block cocycle on a standard Levi -------------------
 
 
 def test_tau_size_one_blocks_is_torus_rule():
     place = Place.finite(3)
     m = StructuredElement.block_diagonal([Torus((2,)), Torus((3,)), Torus((5,))])
     h = StructuredElement.block_diagonal([Torus((3,)), Torus((3,)), Torus((7,))])
-    assert tau_p(m, h, place) == sigma_eval(torus(2, 3, 5), torus(3, 3, 7), place)
+    assert sigma_eval(m, h, place) == sigma_eval(torus(2, 3, 5), torus(3, 3, 7), place)
 
 
 def test_tau_frozen_diag_blocks():
@@ -325,7 +324,7 @@ def test_tau_frozen_diag_blocks():
         place = Place.finite(p)
         blk = Torus((Fraction(p), Fraction(1)))
         m = StructuredElement.block_diagonal([blk, blk])
-        got = tau_p(m, m, place)
+        got = sigma_eval(m, m, place)
         # per-block values are (p, 1) = +1; cross term is (p, p)
         assert got == hilbert(p, p, place)
 
@@ -335,7 +334,7 @@ def test_tau_square_det_cross_terms_vanish():
     g = StructuredElement.block_diagonal([Torus((4, 1)), Torus((9, 1))])
     h = StructuredElement.block_diagonal([Torus((25, 1)), Torus((Fraction(1, 4), 1))])
     per_block = hilbert(4, 1, place) * hilbert(9, 1, place)
-    assert tau_p(g, h, place) == per_block == 1
+    assert sigma_eval(g, h, place) == per_block == 1
 
 
 def test_block_lemmas_check_true_cases():

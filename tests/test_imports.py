@@ -166,10 +166,10 @@ LOADS = {
     "poles": (NUMPY_FREE["poles"], ("symsq",)),
     "ingest": (NUMPY_FREE["ingest"], ("symsq",)),
     "euler": (NUMPY_FREE["euler"], ("symsq",)),
-    "suite-symbols": (["suite", "symbols"], ()),
-    "suite-weil": (NUMPY_FREE["suite-weil"], ("weil_index",)),
-    "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("weil_index", "cocycle")),
-    "suite-symsq": (NUMPY_FREE["suite-symsq"], ("symsq",)),
+    "suite-symbols": (["suite", "symbols"], ("checks",)),
+    "suite-weil": (NUMPY_FREE["suite-weil"], ("checks", "weil_index")),
+    "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("checks", "weil_index", "cocycle")),
+    "suite-symsq": (NUMPY_FREE["suite-symsq"], ("checks", "symsq")),
 }
 
 
@@ -198,4 +198,6 @@ def _modules_loaded(argv, tmp_path):
 def test_command_loads_only_its_modules(argv, extra, tmp_path):
     loaded = _modules_loaded(argv, tmp_path)
     assert "metaplectic.cli" not in loaded
+    if argv[0] != "suite":
+        assert "metaplectic.checks" not in loaded  # only suites compile the checks
     assert loaded == ALWAYS | {f"metaplectic.{m}" for m in extra}
