@@ -13,14 +13,7 @@ import random
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedDomainError
-from .local_arith import Place
-
-
-def least_nonresidue(p: int) -> int:
-    """The least quadratic nonresidue modulo the odd prime p."""
-    from .local_arith import legendre
-
-    return next(n for n in range(2, p) if legendre(n, p) == -1)
+from .local_arith import Place, least_nonresidue
 
 
 # Hilbert symbols: criteria 01 and 02 ------------------------------------------

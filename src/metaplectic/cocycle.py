@@ -20,10 +20,12 @@ from fractions import Fraction
 from .errors import DomainError, PreconditionError, UnsupportedDomainError
 from .local_arith import (
     Place,
+    _hilbert_form,
     as_fraction,
     hilbert,
-    prime_factors,
     same_square_class,
+    square_class,
+    symbol_primes,
     valuation_and_unit,
 )
 from .weil_index import AdditiveCharacter, EighthRoot, mu
@@ -409,11 +411,13 @@ class CoverElement:
 
 
 def _torus_rule(ts, hs, place: Place) -> Sign:
-    s = 1
-    for i in range(len(ts)):
-        for j in range(i + 1, len(hs)):
-            s *= hilbert(ts[i], hs[j], place)
-    return s
+    # prod_{i<j} (t_i, h_j) with the symbol's form B, which is bilinear:
+    # sum_{i<j} B(t_i, h_j) = sum_j B(t_1 + ... + t_{j-1}, h_j)
+    e = before = 0
+    for t, h in zip(ts, hs):
+        e ^= _hilbert_form(before, square_class(h, place), place.p)
+        before ^= square_class(t, place)
+    return -1 if e else 1
 
 
 def kubota_sl2(g, h, place: Place) -> Sign:
@@ -516,13 +520,9 @@ def global_sigma_product(g: StructuredElement, h: StructuredElement) -> Sign:
     factor could be nontrivial (primes of the entries' numerators and
     denominators, plus 2). The product formula says +1; computed, not
     assumed."""
-    primes = {2}
-
-    def harvest(e: StructuredElement):
-        vals = []
-        if e.is_unipotent:
-            return
-        for b in e.blocks:
+    vals = []
+    for e in (g, h):
+        for b in e.blocks or ():
             if isinstance(b, Torus):
                 vals.extend(b.entries)
             elif isinstance(b, Scalar):
@@ -530,15 +530,8 @@ def global_sigma_product(g: StructuredElement, h: StructuredElement) -> Sign:
             else:
                 vals.extend(x for row in b.rows for x in row if x != 0)
             vals.append(b.det())
-        for x in vals:
-            for n in (x.numerator, x.denominator):
-                if abs(n) != 1:
-                    primes.update(prime_factors(n))
-
-    harvest(g)
-    harvest(h)
     s = sigma_eval(g, h, Place.real())
-    for p in sorted(primes):
+    for p in symbol_primes(vals):
         s *= sigma_eval(g, h, Place.finite(p))
     return s
 

@@ -185,6 +185,18 @@ class Place:
         return "inf" if self.p is None else str(self.p)
 
 
+def _split(x: Fraction, p: int) -> tuple[int, int, int]:
+    # x = p^v * num / den with num and den prime to p
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def valuation_and_unit(x, p: int) -> tuple[int, Fraction]:
     """Write x = p^v * u with u a p-adic unit; returns (v, u).
 
@@ -199,20 +211,8 @@ def valuation_and_unit(x, p: int) -> tuple[int, Fraction]:
         raise DomainError("valuation of 0 is undefined")
     if not is_prime(p):
         raise DomainError(f"not a prime: {p}")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v, num, den = _split(x, p)
     return v, Fraction(num, den)
-
-
-def _unit_residue(u: Fraction, modulus: int) -> int:
-    # u must have numerator and denominator coprime to the modulus
-    return (u.numerator * pow(u.denominator, -1, modulus)) % modulus
 
 
 def legendre(a, p: int) -> int:
@@ -226,25 +226,54 @@ def legendre(a, p: int) -> int:
     a = as_fraction(a)
     if a.numerator % p == 0 or a.denominator % p == 0:
         raise DomainError(f"{a} is not a unit at {p}")
-    r = pow(_unit_residue(a, p), (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return -1 if _class(a, p) & 2 else 1
 
 
-def _eps2(u: Fraction) -> int:
-    # (u - 1)/2 mod 2 for a 2-adic unit u, read off from u mod 4
-    return 0 if _unit_residue(u, 4) == 1 else 1
+def least_nonresidue(p: int) -> int:
+    """The least quadratic nonresidue modulo the odd prime p."""
+    return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
-def _omega2(u: Fraction) -> int:
-    # (u^2 - 1)/8 mod 2 for a 2-adic unit u, read off from u mod 8
-    return 0 if _unit_residue(u, 8) in (1, 7) else 1
+def square_class(x, place: Place) -> int:
+    """The class of x in Q_v^x / (Q_v^x)^2 as a bit vector (Serre, A Course
+    in Arithmetic, III.1): 2 classes at the real place, 4 at an odd p, 8 at 2.
+
+    For x = p^v * u: bit 0 is v mod 2; bit 1 is 1 iff u is a nonsquare mod p
+    at an odd p, or u = +-3 mod 8 at 2; bit 2 is 1 iff x < 0 at the real
+    place, or u = 3 mod 4 at 2. Raises DomainError on zero input.
+    """
+    x = as_fraction(x)
+    if x == 0:
+        raise DomainError("square class of 0 is undefined")
+    return _class(x, place.p)
+
+
+def _class(x: Fraction, p: int | None) -> int:
+    # square_class of a nonzero Fraction at a checked prime p (None: real)
+    if p is None:
+        return 4 if x.numerator < 0 else 0
+    v, num, den = _split(x, p)
+    if p == 2:
+        r = num * den % 8  # u mod 8, as den^2 = 1 mod 8
+        return (v & 1) | (2 if r in (3, 5) else 0) | (4 if r in (3, 7) else 0)
+    # Euler's criterion; num * den has the residue symbol of num / den
+    return (v & 1) | (0 if pow(num * den, (p - 1) // 2, p) == 1 else 2)
+
+
+def _hilbert_form(a: int, b: int, p: int | None) -> int:
+    # (x, y) = (-1)^B(square_class(x), square_class(y)) for the F_2-bilinear
+    # form B that pairs bit 0 with bit 1 and bit 2 with itself, and at
+    # p = 3 mod 4 also bit 0 with itself, as (p, p) = (p, -1) = -1 there.
+    diagonal = 4 if p is None or p == 2 else int(p % 4 == 3)
+    dual = ((b & 1) << 1) ^ ((b >> 1) & 1) ^ (b & diagonal)
+    return (a & dual).bit_count() & 1
 
 
 def hilbert(a, b, place: Place) -> int:
     """The local Hilbert symbol (a, b) at the given place.
 
     +1 iff z^2 = a x^2 + b y^2 has a nonzero solution in the completion.
-    Bilinear on square classes, symmetric, and (a, -a) = +1 everywhere.
+    A bilinear form on square classes, symmetric, and (a, -a) = +1 everywhere.
 
     Args:
         a, b: nonzero rationals.
@@ -255,22 +284,8 @@ def hilbert(a, b, place: Place) -> int:
     a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise DomainError("hilbert symbol needs nonzero arguments")
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    va, ua = valuation_and_unit(a, p)
-    vb, ub = valuation_and_unit(b, p)
-    if p != 2:
-        s = 1
-        if va % 2 and vb % 2:
-            s *= legendre(-1, p)
-        if vb % 2:
-            s *= legendre(ua, p)
-        if va % 2:
-            s *= legendre(ub, p)
-        return s
-    e = _eps2(ua) * _eps2(ub) + va * _omega2(ub) + vb * _omega2(ua)
-    return -1 if e % 2 else 1
+    return -1 if _hilbert_form(_class(a, p), _class(b, p), p) else 1
 
 
 # p^5 above this would need tables of more than 10^7 residues (p <= 23 fit)
@@ -334,6 +349,17 @@ def solvability_oracle(a, b, place: Place) -> int:
     return 1 if _mod_p5_solvable(reduce(a) % mod, reduce(b) % mod, p) else -1
 
 
+def symbol_primes(values) -> list[int]:
+    """2 and the primes of every numerator and denominator in ``values``,
+    sorted: the only primes where a Hilbert symbol of them can be -1."""
+    primes = {2}
+    for x in values:
+        for n in (x.numerator, x.denominator):
+            if abs(n) != 1:
+                primes.update(prime_factors(n))
+    return sorted(primes)
+
+
 def reciprocity_product(a, b) -> int:
     """Product of (a, b)_v over the real place and all primes dividing
     2 * num * den of a and b. The global product formula says this is +1;
@@ -341,31 +367,15 @@ def reciprocity_product(a, b) -> int:
     a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise DomainError("reciprocity product needs nonzero arguments")
-    primes = {2}
-    for x in (a, b):
-        for n in (x.numerator, x.denominator):
-            if abs(n) != 1:
-                primes.update(prime_factors(n))
     result = hilbert(a, b, Place.real())
-    for p in sorted(primes):
+    for p in symbol_primes((a, b)):
         result *= hilbert(a, b, Place.finite(p))
     return result
 
 
 def same_square_class(a, b, place: Place) -> bool:
     """True iff a/b is a square in the completion at ``place``."""
-    a, b = as_fraction(a), as_fraction(b)
-    if a == 0 or b == 0:
-        raise DomainError("square class of 0 is undefined")
-    r = a / b
-    if place.is_real:
-        return r > 0
-    v, u = valuation_and_unit(r, place.p)
-    if v % 2:
-        return False
-    if place.p == 2:
-        return _unit_residue(u, 8) == 1
-    return legendre(u, place.p) == 1
+    return square_class(a, place) == square_class(b, place)
 
 
 def square_class_rep(a, place: Place) -> Fraction:
@@ -374,22 +384,12 @@ def square_class_rep(a, place: Place) -> Fraction:
     Real: +1 or -1. Odd p: one of 1, n, p, n*p with n the least quadratic
     non-residue. p = 2: 2^(v mod 2) times the unit's residue mod 8.
     """
-    a = as_fraction(a)
-    if a == 0:
-        raise DomainError("square class of 0 is undefined")
-    if place.is_real:
-        return Fraction(1 if a > 0 else -1)
+    c = square_class(a, place)
     p = place.p
-    v, u = valuation_and_unit(a, p)
-    if p == 2:
-        return Fraction(2 ** (v % 2) * _unit_residue(u, 8))
-    if legendre(u, p) == 1:
-        unit = 1
-    else:
-        unit = 2
-        while legendre(unit, p) == 1:
-            unit += 1
-    return Fraction(p ** (v % 2) * unit)
+    if p is None:
+        return Fraction(-1 if c else 1)
+    unit = (1, 5, 7, 3)[c >> 1] if p == 2 else (least_nonresidue(p) if c & 2 else 1)
+    return Fraction(p ** (c & 1) * unit)
 
 
 class TruncatedSeries:

@@ -27,7 +27,7 @@ from .local_arith import (
     Place,
     as_fraction,
     hilbert,
-    legendre,
+    square_class,
     valuation_and_unit,
 )
 
@@ -247,14 +247,12 @@ def gamma(psi: AdditiveCharacter) -> EighthRoot:
     p = 1 mod 4 and i for p = 3 mod 4. The value depends only on the square
     class of a; the tests check it against ``gauss_shell_oracle``.
     """
-    a = psi.scale
-    if psi.place.is_real:
-        return EighthRoot(1 if a > 0 else 7)
-    p = psi.place.p
-    v, u = valuation_and_unit(a, p)
-    if v % 2 == 0:
+    c, p = square_class(psi.scale, psi.place), psi.place.p
+    if p is None:
+        return EighthRoot(7 if c else 1)
+    if not c & 1:  # even valuation
         return EighthRoot(0)
-    return EighthRoot((0 if p % 4 == 1 else 2) + (0 if legendre(u, p) == 1 else 4))
+    return EighthRoot((0 if p % 4 == 1 else 2) + (4 if c & 2 else 0))
 
 
 def mu(a, psi: AdditiveCharacter) -> EighthRoot:

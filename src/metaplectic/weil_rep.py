@@ -54,7 +54,7 @@ from .local_arith import (
     Place,
     as_fraction,
     is_prime,
-    square_class_rep,
+    same_square_class,
     valuation_and_unit,
 )
 from .weil_index import AdditiveCharacter, gamma, mu
@@ -66,6 +66,11 @@ _BLOCK_ENTRIES = 1 << 13
 
 # dense M x M materialisers stop here; one complex matrix at the cap is 100 MB
 _DENSE_SIZE_CAP = 2500
+
+# build_model stops here. A streamed multiplier check takes O(M^2 log M) time,
+# about 30 s at the largest windows in use, (11,2) and (5,3) with M = 14641
+# and 15625; past them the time grows without a use that needs it.
+_MODEL_SIZE_CAP = 1 << 14
 
 
 def _sqrt_fraction(x: Fraction):
@@ -159,6 +164,12 @@ def build_model(p: int, N: int, scale=1) -> FiniteWeilModel:
         raise UnsupportedDomainError(f"need an odd prime, got {p}")
     if N < 1:
         raise DomainError("window depth must be at least 1")
+    # p >= 3 gives M >= 2^(2N), so a deep window is refused before p^(2N) is formed
+    if 2 * N >= _MODEL_SIZE_CAP.bit_length() or p ** (2 * N) > _MODEL_SIZE_CAP:
+        raise UnsupportedDomainError(
+            f"model ({p},{N}) has M = {p}^{2 * N} carrier points,"
+            f" above the cap of {_MODEL_SIZE_CAP}"
+        )
     scale = as_fraction(scale)
     place = Place.finite(p)
     v, _ = valuation_and_unit(scale, p)
@@ -495,11 +506,7 @@ def whittaker_functional_exists(model: FiniteWeilModel, a) -> bool:
     of scale a: true iff a is in the square class of scale * x^2 for some
     nonzero carrier point x. Since x^2 is a square, every such class is the
     class of the model's scale, so this compares two square classes."""
-    a = as_fraction(a)
-    if a == 0:
-        raise DomainError("target scale must be nonzero")
-    place = model.place
-    return square_class_rep(a, place) == square_class_rep(model.psi.scale, place)
+    return same_square_class(a, model.psi.scale, model.place)
 
 
 def central_word_check(model: FiniteWeilModel, a, chi) -> bool:

@@ -486,6 +486,23 @@ def test_suite_all_matches_golden_report(tmp_path, capsys):
     assert out.read_bytes() == GOLDEN_SUITE_ALL.read_bytes()
 
 
+@pytest.mark.parametrize("prefix", ["cocycles/normalization", "weil", "sym"])
+def test_filtered_suite_all_is_the_golden_report_filtered(prefix, tmp_path, capsys):
+    # only the suites the prefix can match are built; the others print an
+    # empty report, as when every row was built and filtered out
+    out = tmp_path / "all.json"
+    assert main(["suite", "all", "--seed", "0", "--suite", prefix, "--json", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    cases = [row for row in json.loads(GOLDEN_SUITE_ALL.read_text())["cases"]
+             if row["id"].startswith(prefix)]
+    report = json.loads(out.read_text())
+    assert cases and report["cases"] == cases
+    assert report["summary"]["pass"] == report["summary"]["total"] == len(cases)
+    for name in ("symbols", "cocycles", "weil", "weilrep", "symsq"):
+        if not any(row["id"].startswith(name + "/") for row in cases):
+            assert f"suite: {name}\n  0 passed, 0 failed, 0 errors of 0\n" in stdout
+
+
 def test_weil_gamma_past_the_old_cap(capsys):
     assert main(["weil-gamma", "--place", "23", "--scale", "23"]) == 0
     assert capsys.readouterr().out.strip() == "i"

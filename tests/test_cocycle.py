@@ -74,17 +74,40 @@ def test_sigma_torus_frozen():
     assert sigma_eval(torus(3, 3), torus(3, 3), Place.finite(3)) == -1
 
 
+def pairwise_sign(ts, hs, place):
+    """prod over i < j of (t_i, h_j), one Hilbert symbol per pair: the
+    oracle for the torus rule, which sums the symbol's form over prefixes."""
+    s = 1
+    for i, j in itertools.combinations(range(len(ts)), 2):
+        s *= hilbert(ts[i], hs[j], place)
+    return s
+
+
 def test_sigma_torus_is_pairwise_product():
     rng = random.Random(7)
-    for place in (Place.finite(3), Place.finite(5), REAL):
-        for _ in range(15):
-            ts = [Fraction(rng.choice([1, 2, 3, 5, -1, 7])) for _ in range(3)]
-            hs = [Fraction(rng.choice([1, 2, 3, 5, -1, 7])) for _ in range(3)]
-            expect = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    expect *= hilbert(ts[i], hs[j], place)
-            assert sigma_eval(torus(*ts), torus(*hs), place) == expect
+    entries = [1, 2, 3, 5, -1, 7, 6, 101, Fraction(3, 4), Fraction(-5, 202), Fraction(1, 9)]
+    places = (REAL, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(101))
+    for r in (3, 8, 16):
+        for place in places:
+            for _ in range(15):
+                ts = [Fraction(rng.choice(entries)) for _ in range(r)]
+                hs = [Fraction(rng.choice(entries)) for _ in range(r)]
+                assert sigma_eval(torus(*ts), torus(*hs), place) == pairwise_sign(ts, hs, place)
+    # the block rule: per-block torus rules times (det g_k, det h_l) over k < l
+    g = [Torus((2, -3)), gl2(5, 0, 0, Fraction(1, 3)), Torus((-7,)), gl2(-1, 0, 0, 6)]
+    h = [Torus((3, 101)), gl2(-2, 0, 0, 10), Torus((Fraction(5, 2),)), gl2(3, 0, 0, -3)]
+
+    def diagonal(b):
+        return b.entries if isinstance(b, Torus) else (b.rows[0][0], b.rows[1][1])
+
+    for place in places:
+        expect = pairwise_sign([b.det() for b in g], [b.det() for b in h], place)
+        for gb, hb in zip(g, h):
+            expect *= pairwise_sign(diagonal(gb), diagonal(hb), place)
+        got = sigma_eval(
+            StructuredElement.block_diagonal(g), StructuredElement.block_diagonal(h), place
+        )
+        assert got == expect, str(place)
 
 
 def test_sigma_unipotent_rule():

@@ -98,6 +98,8 @@ NUMPY_FREE = {
     "zeta": ["zeta", "--r", "2", "--alphas", "1/2,3", "--q", "7", "--deg", "6"],
     "poles": ["poles", "--r", "2", "--trivial", "true"],
     "suite-cocycles": ["suite", "cocycles"],
+    # a filtered `suite all` builds only the suites its prefix can match
+    "suite-all-filtered": ["suite", "all", "--suite", "cocycles/normalization"],
     "suite-weil": ["suite", "weil"],
     "suite-symsq": ["suite", "symsq"],
     "ingest": ["ingest", "{table}"],
@@ -169,6 +171,7 @@ LOADS = {
     "suite-symbols": (["suite", "symbols"], ("checks",)),
     "suite-weil": (NUMPY_FREE["suite-weil"], ("checks", "weil_index")),
     "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("checks", "weil_index", "cocycle")),
+    "suite-all-filtered": (NUMPY_FREE["suite-all-filtered"], ("checks", "weil_index", "cocycle")),
     "suite-symsq": (NUMPY_FREE["suite-symsq"], ("checks", "symsq")),
 }
 

@@ -21,6 +21,7 @@ from metaplectic.local_arith import (
     reciprocity_product,
     same_square_class,
     solvability_oracle,
+    square_class,
     square_class_rep,
     valuation_and_unit,
 )
@@ -219,6 +220,65 @@ def test_square_class_rep_real():
 def test_odd_rep_set_has_four_classes():
     reps = {square_class_rep(a, Place.finite(7)) for a in range(1, 200)}
     assert len(reps) == 4
+
+
+# one representative per square class: 2 at the real place, 8 at 2 and 4 at
+# an odd p, where 2 is a nonresidue at 3 and at 5; 3 = 3 mod 4 and 5 = 1 mod 4
+# cover both forms of the symbol at an odd prime
+CLASS_REPS = {
+    REAL: (1, -1),
+    Place.finite(2): (1, 3, 5, 7, 2, 6, 10, 14),
+    Place.finite(3): (1, 2, 3, 6),
+    Place.finite(5): (1, 2, 5, 10),
+}
+
+
+@pytest.mark.parametrize("place", CLASS_REPS, ids=str)
+def test_square_classes_are_the_bit_vectors(place):
+    reps = CLASS_REPS[place]
+    classes = {square_class(r, place) for r in reps}
+    assert len(classes) == len(reps)
+    rng = random.Random(4)
+    assert {square_class(x, place) for x in nonzero_fractions(rng, 300)} == classes
+    with pytest.raises(DomainError):
+        square_class(0, place)
+
+
+@pytest.mark.parametrize("place", CLASS_REPS, ids=str)
+def test_hilbert_form_matches_oracle_on_every_pair_of_classes(place):
+    for a in CLASS_REPS[place]:
+        for b in CLASS_REPS[place]:
+            assert hilbert(a, b, place) == solvability_oracle(a, b, place), (a, b)
+
+
+@given(
+    num=st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
+    den=st.integers(min_value=1, max_value=10**6),
+    v=st.integers(min_value=-3, max_value=3),
+    p=st.sampled_from([None, 2, 3, 5, 101, 10**9 + 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_square_class_of_the_rep_hypothesis(num, den, v, p):
+    place = REAL if p is None else Place.finite(p)
+    x = Fraction(num, den) * Fraction(p or 2) ** v
+    assert square_class(square_class_rep(x, place), place) == square_class(x, place)
+
+
+@given(
+    num=st.integers(min_value=-(10**4), max_value=10**4).filter(lambda n: n != 0),
+    den=st.integers(min_value=1, max_value=10**4),
+    num2=st.integers(min_value=-(10**4), max_value=10**4).filter(lambda n: n != 0),
+    den2=st.integers(min_value=1, max_value=10**4),
+    va=st.integers(min_value=-2, max_value=2),
+    vb=st.integers(min_value=-2, max_value=2),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
+)
+@settings(max_examples=60, deadline=None)
+def test_hilbert_matches_oracle_hypothesis(num, den, num2, den2, va, vb, p):
+    place = Place.finite(p)
+    a = Fraction(num, den) * Fraction(p) ** va
+    b = Fraction(num2, den2) * Fraction(p) ** vb
+    assert hilbert(a, b, place) == solvability_oracle(a, b, place)
 
 
 # truncated series ------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -76,6 +77,22 @@ def test_build_model_validation():
         build_model(3, 1, scale=3)  # non-unit scale moves the lattice
     m = build_model(3, 2, scale=Fraction(2, 5))
     assert m.size == 81 and m.point(3) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("big_n, m_text", [(13, "3^26"), (10**9, "3^2000000000")])
+def test_build_model_refuses_a_window_past_the_cap(big_n, m_text):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedDomainError, match="cap of 16384") as err:
+            build_model(3, big_n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1
+    assert peak < 1 << 20  # refused before anything was allocated
+    assert f"M = {m_text} " in str(err.value)
+    assert build_model(5, 3).size == 15625  # the largest window in use stays inside
 
 
 def test_carrier_indexing():
