@@ -21,12 +21,12 @@ from .errors import DomainError, PreconditionError, UnsupportedDomainError
 from .local_arith import (
     Place,
     _hilbert_form,
+    _split,
     as_fraction,
     hilbert,
     same_square_class,
     square_class,
     symbol_primes,
-    valuation_and_unit,
 )
 from .weil_index import AdditiveCharacter, EighthRoot, mu
 
@@ -532,7 +532,7 @@ def global_sigma_product(g: StructuredElement, h: StructuredElement) -> Sign:
             vals.append(b.det())
     s = sigma_eval(g, h, Place.real())
     for p in symbol_primes(vals):
-        s *= sigma_eval(g, h, Place.finite(p))
+        s *= sigma_eval(g, h, Place._certified(p))
     return s
 
 
@@ -689,8 +689,7 @@ class UnramifiedCharacter:
             raise DomainError("character of 0 is undefined")
         if self.place.is_real:
             return Fraction(1) if (x > 0 or self.sign_exponent == 0) else Fraction(-1)
-        v, _ = valuation_and_unit(x, self.place.p)
-        return self.at_uniformizer**v
+        return self.at_uniformizer ** _split(x, self.place.p)[0]
 
     def __repr__(self):
         if self.place.is_real:

@@ -161,6 +161,13 @@ class Place:
         return cls(p)
 
     @classmethod
+    def _certified(cls, p: int) -> "Place":
+        """The finite place at a p the caller has already proven prime."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "p", p)
+        return place
+
+    @classmethod
     def real(cls) -> "Place":
         return cls(None)
 
@@ -351,7 +358,8 @@ def solvability_oracle(a, b, place: Place) -> int:
 
 def symbol_primes(values) -> list[int]:
     """2 and the primes of every numerator and denominator in ``values``,
-    sorted: the only primes where a Hilbert symbol of them can be -1."""
+    sorted: the only primes where a Hilbert symbol of them can be -1. Each
+    is certified prime, so callers build its place with Place._certified."""
     primes = {2}
     for x in values:
         for n in (x.numerator, x.denominator):
@@ -369,7 +377,7 @@ def reciprocity_product(a, b) -> int:
         raise DomainError("reciprocity product needs nonzero arguments")
     result = hilbert(a, b, Place.real())
     for p in symbol_primes((a, b)):
-        result *= hilbert(a, b, Place.finite(p))
+        result *= hilbert(a, b, Place._certified(p))
     return result
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import DomainError, OracleConsistencyError
 from .local_arith import (
     Place,
+    _split,
     as_fraction,
     hilbert,
     square_class,
@@ -125,12 +126,13 @@ class AdditiveCharacter:
             return Fraction(0)
         if self.place.is_real:
             return y - (y.numerator // y.denominator)
+        # the place has certified p, so no second primality test
         p = self.place.p
-        v, u = valuation_and_unit(y, p)
+        v, num, den = _split(y, p)
         if v >= 0:
             return Fraction(0)
         pk = p ** (-v)
-        c = (u.numerator * pow(u.denominator, -1, pk)) % pk
+        c = (num * pow(den, -1, pk)) % pk
         return Fraction(c, pk)
 
     def value(self, x) -> complex:

@@ -25,15 +25,18 @@ v(s) >= -(N-1) for d. Canonical words for products are allowed twice the
 t-depth, since products of in-window generators land there. Violations
 raise PreconditionError, never wrap around silently.
 
-Operators are actions on blocks of columns, not stored matrices. Every
-letter except w is monomial (a gather of carrier indices times a phase or
-scalar) and costs O(M) per column, M = p^(2N); w is an index-permuted
-inverse FFT and costs O(M log M) per column. The checks stream the identity
-through the actions in blocks of B = max(1, 2^13 // M) columns, under
-128 KiB each up to M = 2^13, so a full projective multiplier check takes
-O(M^2 log M) time and O(M B) memory. The dense matrix of a generator or word
-is its action applied to the whole identity; it is built only on request,
-and only up to M = 2500 carrier points (100 MB per matrix).
+Operators are actions on blocks of columns, not stored matrices. A word is
+a list of stages: every letter but w is one monomial (a gather of carrier
+indices times a per-point scale), w is an inverse FFT and then a monomial,
+and neighbouring monomials are fused in O(M), M = p^(2N). Two monomial
+sides are compared in O(M); a chain monomial -> Fourier -> monomial with a
+bijective head is built in closed form from the M-th roots of unity, O(M^2)
+gathers. Only past the first Fourier stage, or behind a head that is not a
+bijection, does a check run the FFT, O(M^2 log M). Columns are built in
+blocks of B = max(1, 2^13 // M), under 128 KiB each up to M = 2^13, so
+memory is O(M B). The dense matrix of a word is its action applied to the
+whole identity, built only on request and only up to M = 2500 carrier
+points (100 MB per matrix).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .errors import (
 )
 from .local_arith import (
     Place,
+    _split,
     as_fraction,
     is_prime,
     same_square_class,
@@ -67,9 +71,10 @@ _BLOCK_ENTRIES = 1 << 13
 # dense M x M materialisers stop here; one complex matrix at the cap is 100 MB
 _DENSE_SIZE_CAP = 2500
 
-# build_model stops here. A streamed multiplier check takes O(M^2 log M) time,
-# about 30 s at the largest windows in use, (11,2) and (5,3) with M = 14641
-# and 15625; past them the time grows without a use that needs it.
+# build_model stops here. A multiplier check takes O(M^2) gathers in closed
+# form and O(M^2 log M) time past one Fourier letter, about 9 s and 30 s at
+# the largest windows in use, (11,2) and (5,3) with M = 14641 and 15625;
+# past them the time grows without a use that needs it.
 _MODEL_SIZE_CAP = 1 << 14
 
 
@@ -86,26 +91,27 @@ def _sqrt_fraction(x: Fraction):
 class FiniteWeilModel:
     """Carrier, exact phase bookkeeping, and the Fourier transform for one
     (p, N, psi). The additive character must have unit scale so the kernel
-    psi(2xy) is well defined pointwise on the carrier."""
+    psi(2xy) is well defined pointwise on the carrier. ``roots`` holds
+    exp(2 pi i r / M) for r = 0..M-1: every quadratic phase is one of them,
+    and so is every Fourier kernel entry up to the factor p^-N."""
 
-    __slots__ = ("p", "N", "psi", "size", "_fourier_index")
+    __slots__ = ("p", "N", "psi", "size", "place", "roots", "_fourier_index")
 
     def __init__(self, p: int, N: int, psi: AdditiveCharacter):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "size", p ** (2 * N))
+        # the character's place, which has certified p already
+        object.__setattr__(self, "place", psi.place)
+        k = np.arange(self.size, dtype=np.int64)
+        object.__setattr__(self, "roots", np.exp(2j * np.pi * (k / self.size)))
         # psi(2 x_j x_k) = exp(2 pi i c2 j k / M) with c2 = 2 * scale mod M
         c2 = self._residue(2 * psi.scale)
-        index = c2 * np.arange(self.size, dtype=np.int64) % self.size
-        object.__setattr__(self, "_fourier_index", index)
+        object.__setattr__(self, "_fourier_index", c2 * k % self.size)
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteWeilModel is immutable")
-
-    @property
-    def place(self) -> Place:
-        return Place.finite(self.p)
 
     def point(self, k: int) -> Fraction:
         """The rational value of carrier index k: k / p^N."""
@@ -127,7 +133,9 @@ class FiniteWeilModel:
 
     def _scale_residue(self, a) -> int:
         a = as_fraction(a)
-        v, _ = valuation_and_unit(a, self.p)
+        if a == 0:
+            raise DomainError("valuation of 0 is undefined")
+        v = _split(a, self.p)[0]
         if v < 0:
             raise PreconditionError(
                 f"substitution by valuation {v} leaves the carrier"
@@ -241,61 +249,104 @@ def _check_window(v: int, lo: int, hi: int, what: str):
         )
 
 
+class _Monomial:
+    """The stage X -> scale * X[index]: a gather of carrier rows by an index
+    array times one scale per row, from a scalar or a length-M vector."""
+
+    __slots__ = ("scale", "index")
+
+    def __init__(self, scale, index):
+        if not isinstance(scale, np.ndarray):
+            scale = np.full(len(index), scale)
+        self.scale, self.index = scale, index
+
+    def __call__(self, X):
+        return self.scale[:, None] * X[self.index]
+
+    def then(self, after: "_Monomial") -> "_Monomial":
+        """This stage followed by ``after``, as one stage: (s_a, i_a) o
+        (s_b, i_b) = (s_a s_b[i_a], i_b[i_a])."""
+        return _Monomial(after.scale * self.scale[after.index], self.index[after.index])
+
+
+def _ifft(X):
+    """The Fourier stage: the unscaled inverse FFT along the carrier axis."""
+    return np.fft.ifft(X, axis=0)
+
+
+class _Action(tuple):
+    """Stages applied first to last to a block of columns X of shape (M, c).
+    A stage is any callable; only _Monomial and _ifft have fast paths."""
+
+    def __call__(self, X):
+        for stage in self:
+            X = stage(X)
+        return X
+
+
+def _chain(*actions) -> _Action:
+    """The actions applied in the order given, as one action whose
+    neighbouring monomial stages are fused into one."""
+    stages = []
+    for stage in (s for act in actions for s in (act if isinstance(act, _Action) else (act,))):
+        if isinstance(stage, _Monomial) and stages and isinstance(stages[-1], _Monomial):
+            stages[-1] = stages[-1].then(stage)
+        else:
+            stages.append(stage)
+    return _Action(stages)
+
+
 def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False):
     """One generator as its action X -> op(gen) X on a block of columns X of
-    shape (M, c). Arguments and windows are those of operator()."""
+    shape (M, c): one monomial stage, or for w the Fourier stage and then one.
+    Arguments and windows are those of operator()."""
     M, p, N = model.size, model.p, model.N
+    k = np.arange(M, dtype=np.int64)
     kind = gen[0]
     if kind == "w":
         # gamma(psi) times fourier_block, with p^N folded into the one scalar
         scalar = gamma(model.psi).value() * p**N
-        index = model._fourier_index
-        return lambda X: scalar * np.fft.ifft(X, axis=0)[index]
+        return _Action((_ifft, _Monomial(scalar, model._fourier_index)))
     if kind == "n":
         b = as_fraction(gen[1])
         if b == 0:
-            return lambda X: X
-        v, _ = valuation_and_unit(b, p)
+            return _Monomial(1.0, k)
+        v = _split(b, p)[0]
         hi = 2 * N - 2 if not extended else 4 * N - 4
         _check_window(v, 0, max(hi, 0), "quadratic phase")
         # psi(b x_k^2) = exp(2 pi i (scale b k^2 mod M) / M) with x_k = k / p^N
-        k = np.arange(M, dtype=np.int64)
         residues = model._residue(model.psi.scale * b) * (k * k % M) % M
-        phases = np.exp(2j * np.pi * (residues / M))[:, None]
-        return lambda X: phases * X
+        return _Monomial(model.roots[residues], k)
     if kind == "t":
         a = as_fraction(gen[1])
         if a == 0:
             raise DomainError("torus entry must be nonzero")
-        v, _ = valuation_and_unit(a, p)
+        v = _split(a, p)[0]
         hi = N - 1 if not extended else 2 * N - 2
         _check_window(v, 0, max(hi, 0), "torus substitution")
         scalar = p ** (-v / 2) * mu(a, model.psi).value()
-        index = model.scale_indices(a)
-        return lambda X: scalar * X[index]
+        return _Monomial(scalar, model.scale_indices(a))
     if kind == "d":
         s = as_fraction(gen[1])
         if s == 0:
             raise DomainError("square-torus parameter must be nonzero")
         if chi_value is None:
             raise DomainError("d-generator needs the character value at s")
-        v, _ = valuation_and_unit(s, p)
+        v = _split(s, p)[0]
         lo = -(N - 1) if not extended else -(2 * N - 2)
         _check_window(v, min(lo, 0), 0, "inverse substitution")
         scalar = complex(chi_value) * p ** (v / 2)
-        index = model.scale_indices(1 / s)
-        return lambda X: scalar * X[index]
+        return _Monomial(scalar, model.scale_indices(1 / s))
     if kind == "central":
         a = as_fraction(gen[1])
         if chi_value is None:
             raise DomainError("central generator needs the character value at a")
-        scalar = complex(chi_value) * mu(a, model.psi).value()
-        return lambda X: scalar * X
+        return _Monomial(complex(chi_value) * mu(a, model.psi).value(), k)
     if kind == "sign":
         xi = gen[1]
         if xi not in (1, -1):
             raise DomainError(f"cover sign must be +-1, got {xi}")
-        return lambda X: float(xi) * X
+        return _Monomial(float(xi), k)
     raise DomainError(f"unknown generator {gen!r}")
 
 
@@ -334,16 +385,70 @@ def identity_blocks(model: FiniteWeilModel):
         yield _unit_columns(model.size, cols)
 
 
-def _actions_agree(model: FiniteWeilModel, lhs, rhs, perm=None) -> bool:
-    """Whether two actions have the same matrix within OP_TOL, compared block
-    by block on identity columns. With a permutation perm of the carrier,
-    lhs's matrix is compared after gathering rows and columns by perm: the
-    block is built from the gathered columns and its rows are gathered."""
+def _single_monomial(act: _Action):
+    """The one monomial stage an action consists of, or None."""
+    return act[0] if len(act) == 1 and isinstance(act[0], _Monomial) else None
+
+
+def _monomial_residual(a: _Monomial, b: _Monomial, c=1.0) -> float:
+    """max |A - c B| over all M^2 entries of two monomial matrices. Entries
+    off each support are zero, so a row whose indices agree differs by
+    |s_a - c s_b| and any other row by the larger of |s_a| and |c s_b|."""
+    sa, sb = a.scale, c * b.scale
+    diff = np.where(a.index == b.index, np.abs(sa - sb), np.maximum(np.abs(sa), np.abs(sb)))
+    return float(np.max(diff))
+
+
+def _column_source(model: FiniteWeilModel, act):
+    """cols -> the columns ``cols`` of act's matrix, of shape (M, len(cols)).
+
+    A chain monomial -> Fourier -> monomial whose head gathers by a
+    bijection is built in closed form: a unit column c meets the head at
+    k = head.index^-1[c], so the column is roots[(rows * k) mod M] times
+    s_head[k] / M times s_tail, with rows the tail's gather. Anything else is
+    act applied to unit columns."""
     M = model.size
-    for cols in _column_blocks(M):
-        X = _unit_columns(M, cols)
-        left = lhs(X) if perm is None else lhs(_unit_columns(M, perm[cols]))[perm]
-        if np.max(np.abs(left - rhs(X))) >= OP_TOL:
+    stages = (_Monomial(1.0, np.arange(M)), *act) if act and act[0] is _ifft else act
+    # int32 indices: (rows * k) < M^2 <= 2^28 under the model cap
+    inverse = np.full(M, -1, dtype=np.int32)
+    if (len(stages) == 3 and stages[1] is _ifft
+            and isinstance(stages[0], _Monomial) and isinstance(stages[2], _Monomial)):
+        inverse[stages[0].index] = np.arange(M)
+    if inverse.min() < 0:
+        return lambda cols: act(_unit_columns(M, cols))
+    head, tail = stages[0], stages[2]
+    rows = tail.index.astype(np.int32)
+    head_scale, tail_scale = head.scale / M, tail.scale[:, None]
+
+    def columns(cols):
+        k = inverse[cols]
+        exponents = np.multiply.outer(rows, k)
+        np.remainder(exponents, M, out=exponents)
+        out = model.roots.take(exponents)
+        out *= head_scale[k]
+        out *= tail_scale
+        return out
+
+    return columns
+
+
+def _actions_agree(model: FiniteWeilModel, lhs, rhs, perm=None) -> bool:
+    """Whether two actions have the same matrix within OP_TOL. With a
+    permutation perm of the carrier, lhs's matrix is compared after gathering
+    rows and columns by perm. Two monomials are compared in O(M), anything
+    else block by block on identity columns."""
+    lhs, rhs = _chain(lhs), _chain(rhs)
+    if perm is not None:
+        # P A P^-1 with (P X)[r] = X[perm[r]] has entries A[perm[r], perm[c]]
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(model.size)
+        lhs = _chain(_Monomial(1.0, inverse), lhs, _Monomial(1.0, perm))
+    a, b = _single_monomial(lhs), _single_monomial(rhs)
+    if a is not None and b is not None:
+        return _monomial_residual(a, b) < OP_TOL
+    left, right = _column_source(model, lhs), _column_source(model, rhs)
+    for cols in _column_blocks(model.size):
+        if np.max(np.abs(left(cols) - right(cols))) >= OP_TOL:
             return False
     return True
 
@@ -374,13 +479,7 @@ def word_action(model: FiniteWeilModel, word, chi=None, extended: bool = False):
                 raise DomainError("word contains a chi-dependent letter")
             cv = chi.value(gen[1])
         letters.append(_letter(model, gen, chi_value=cv, extended=extended))
-
-    def act(X):
-        for letter in reversed(letters):
-            X = letter(X)
-        return X
-
-    return act
+    return _chain(*reversed(letters))
 
 
 def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -> np.ndarray:
@@ -428,13 +527,14 @@ def operator_for_matrix(model: FiniteWeilModel, mat, chi=None) -> np.ndarray:
 def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     """The scalar c with op(g) op(h) = c op(gh), for the canonical words.
 
-    The words of g, h and gh are validated first, in that order. Both sides
-    are then streamed over identity column blocks, so memory is O(M B) for
-    blocks of B columns and no M x M array is built. c is read off the
-    largest entry of op(gh) in the first block, and every entry of both
-    sides is compared against it: raises ModelInconsistencyError if the
-    largest residual |op(g)op(h) - c op(gh)| exceeds 1e-6 max(1, max
-    |op(g)op(h)|).
+    The words of g, h and gh are validated first, in that order; op(g) op(h)
+    is then h's stages followed by g's, fused as one action. c is read off
+    the largest entry of op(gh) among the first block of identity columns,
+    and every entry of both sides is compared against it: raises
+    ModelInconsistencyError if the largest residual |op(g)op(h) - c op(gh)|
+    exceeds 1e-6 max(1, max |op(g)op(h)|). Two monomial sides are compared
+    in O(M); otherwise both sides are built over identity column blocks,
+    so memory is O(M B) for blocks of B columns and no M x M array is built.
     """
     act_g = word_action(model, canonical_word(g), chi=chi, extended=True)
     act_h = word_action(model, canonical_word(h), chi=chi, extended=True)
@@ -442,19 +542,34 @@ def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     if gh is None:
         raise DomainError("g and h must be composable matrix blocks")
     act_gh = word_action(model, canonical_word(gh), chi=chi, extended=True)
-    c = None
-    resid = top = 0.0
-    for X in identity_blocks(model):
-        # op(g) op(h) as g's word acting on the columns of op(h): no matmul
-        prod = act_g(act_h(X))
-        ogh = act_gh(X)
-        if c is None:
-            k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
-            if abs(ogh[k]) < OP_TOL:
-                raise ModelInconsistencyError("product word operator vanished")
-            c = prod[k] / ogh[k]
-        resid = max(resid, float(np.max(np.abs(prod - c * ogh))))
-        top = max(top, float(np.max(np.abs(prod))))
+    act_prod = _chain(act_h, act_g)
+    prod, ogh = _single_monomial(act_prod), _single_monomial(act_gh)
+    if prod is not None and ogh is not None:
+        # row r of op(gh) has its one entry in column ogh.index[r]; the first
+        # block holds the rows whose column is in it, and argmax, as on a
+        # block, takes the first of equal entries
+        width = max(1, _BLOCK_ENTRIES // model.size)
+        first = np.where(ogh.index < width, np.abs(ogh.scale), 0.0)
+        r = int(np.argmax(first))
+        if first[r] < OP_TOL:
+            raise ModelInconsistencyError("product word operator vanished")
+        c = (prod.scale[r] if prod.index[r] == ogh.index[r] else 0j) / ogh.scale[r]
+        resid = _monomial_residual(prod, ogh, c)
+        top = float(np.max(np.abs(prod.scale)))
+    else:
+        prod_columns = _column_source(model, act_prod)
+        gh_columns = _column_source(model, act_gh)
+        c = None
+        resid = top = 0.0
+        for cols in _column_blocks(model.size):
+            prod, ogh = prod_columns(cols), gh_columns(cols)
+            if c is None:
+                k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
+                if abs(ogh[k]) < OP_TOL:
+                    raise ModelInconsistencyError("product word operator vanished")
+                c = prod[k] / ogh[k]
+            resid = max(resid, float(np.max(np.abs(prod - c * ogh))))
+            top = max(top, float(np.max(np.abs(prod))))
     if resid > 1e-6 * max(1.0, top):
         raise ModelInconsistencyError(
             f"operators are not proportional: residual {resid}"
@@ -537,8 +652,9 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
 
     a = as_fraction(a)
     p = model.p
-    v, _ = valuation_and_unit(a, p)
-    if v != 0:
+    if a == 0:
+        raise DomainError("valuation of 0 is undefined")
+    if _split(a, p)[0] != 0:
         raise PreconditionError(
             "twists are supported for unit scales only on a fixed carrier"
         )
@@ -564,9 +680,9 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
     for c in t_samples:
         c = as_fraction(c)
         sign = hilbert(a, c, model.place)
-        lhs = _letter(model, ("t", c))
+        lhs = _chain(_letter(model, ("t", c)), _Monomial(sign, np.arange(model.size)))
         rhs = _letter(twisted, ("t", c))
-        ok = ok and _actions_agree(model, lambda X: sign * lhs(X), rhs)
+        ok = ok and _actions_agree(model, lhs, rhs)
     croot = _sqrt_fraction(a)
     if croot is not None:
         # explicit intertwiner T f(x) = f(c x) between the two models: T is

@@ -451,6 +451,32 @@ def test_reciprocity_at_a_sixteen_digit_prime_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_certified_primes_are_not_tested_again(monkeypatch):
+    # a Place, a model and prime_factors each certify their prime once; the
+    # callers below must not run Miller-Rabin on it again
+    from metaplectic.cocycle import StructuredElement, UnramifiedCharacter, global_sigma_product
+    from metaplectic.weil_index import AdditiveCharacter
+    from metaplectic.weil_rep import build_model, twist_intertwiner_check
+
+    p = 1_000_000_007
+    psi = AdditiveCharacter(Place.finite(p), 1)
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=2)
+    model = build_model(3, 2)
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran again")
+
+    monkeypatch.setattr(local_arith, "is_prime", refuse)
+    x = Fraction(3, p * p)
+    assert psi.phase(x) == x
+    assert chi.value(x) == Fraction(1, 4)
+    assert reciprocity_product(Fraction(3 * 1000003, 7 * 999983), Fraction(-p, 11 * 1000033)) == 1
+    torus = StructuredElement.torus
+    assert global_sigma_product(torus((2, 3 * 1000003)), torus((5, -p))) == 1
+    assert model.place.p == 3 and model.scale_index(1, 5) == 5
+    assert twist_intertwiner_check(2, model)
+
+
 # the solvability sweep over residue tables -------------------------------------
 
 

@@ -752,6 +752,147 @@ def test_parity_sees_a_middle_block_corruption(monkeypatch):
     assert not parity_invariance_check(m, ("t", 2))
 
 
+# fused stages and the three check paths ----------------------------------------
+#
+# A word is a list of stages with neighbouring monomials fused. Two monomial
+# sides are compared in O(M) (path a); a chain monomial -> Fourier -> monomial
+# with a bijective head is built in closed form from the model's roots table
+# (path b); anything else streams identity blocks through the FFT (path c).
+
+W, LOWER = sl2(0, 1, -1, 0), sl2(1, 0, 1, 1)
+# at (3,2) its word is n(1) w t(-3) n(1): t(3) gathers k -> 3k, no bijection
+NON_BIJECTIVE_HEAD = sl2(3, Fraction(8, 3), 3, 3)
+
+
+def count_ffts(monkeypatch):
+    calls = []
+    real = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return calls
+
+
+def monomial_matrix(mono):
+    out = np.zeros((len(mono.index), len(mono.index)), dtype=np.complex128)
+    out[np.arange(len(mono.index)), mono.index] = mono.scale
+    return out
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_fast_paths_match_dense_oracle(p, N, monkeypatch):
+    m = build_model(p, N)
+    chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
+    mats = _sample_blocks(p, N) + [gl2(2, 0, 0, 2), gl2(2, 4, 1, 4)]
+    pairs = list(itertools.product(mats, mats)) + [(W, LOWER)]
+    if (p, N) == (3, 2):
+        pairs.append((sl2(1, 1, 0, 1), NON_BIJECTIVE_HEAD))
+    ffts = count_ffts(monkeypatch)
+    paths = {"a": 0, "b": 0, "c": 0}
+    for g, h in pairs:
+        words = [canonical_word(x) for x in (g, h, g.compose(h))]
+        try:
+            act_g, act_h, act_gh = (weil_rep.word_action(m, w, chi=chi, extended=True) for w in words)
+        except PreconditionError:
+            continue
+        dense_g, dense_h, dense_gh = (dense_word(m, w, chi) for w in words)
+        for side, dense in ((weil_rep._chain(act_h, act_g), dense_g @ dense_h), (act_gh, dense_gh)):
+            mono = weil_rep._single_monomial(side)
+            if mono is not None:
+                paths["a"] += 1
+                got = monomial_matrix(mono)
+            else:
+                ffts.clear()
+                columns = weil_rep._column_source(m, side)
+                got = np.hstack([columns(cols) for cols in weil_rep._column_blocks(m.size)])
+                paths["b" if not ffts else "c"] += 1
+            assert np.max(np.abs(got - dense)) < 1e-12, (g.rows, h.rows)
+        assert same_outcome(
+            outcome(projective_multiplier, g, h, m, chi=chi),
+            outcome(dense_multiplier, g, h, m, chi=chi),
+        ), (g.rows, h.rows)
+    assert paths["a"] > 10 and paths["b"] > 10
+    # two w letters in op(g) op(h), and a head t(p) before w, take path c
+    for g, h in [(W, LOWER)] + ([(sl2(1, 1, 0, 1), NON_BIJECTIVE_HEAD)] if (p, N) == (3, 2) else []):
+        prod = weil_rep._chain(*(weil_rep.word_action(m, canonical_word(x), extended=True) for x in (h, g)))
+        ffts.clear()
+        weil_rep._column_source(m, prod)(np.arange(2))
+        assert ffts and weil_rep._single_monomial(prod) is None
+
+
+def _mutated(act, what, row):
+    """act with one entry of its last monomial's scale or index changed."""
+    stages = tuple(act)
+    last = stages[-1]
+    scale, index = np.array(last.scale), last.index.copy()
+    if what == "scale":
+        scale[row] = -scale[row]
+    else:
+        index[row] = (index[row] + 1) % len(index)
+    return weil_rep._Action(stages[:-1] + (weil_rep._Monomial(scale, index),))
+
+
+@pytest.mark.parametrize("what", ["scale", "index"])
+def test_fast_paths_see_a_mutated_monomial(what, monkeypatch):
+    m = build_model(*STREAMED)
+    row = m.size - 1
+    cases = [
+        # path a: two torus letters; path b: an LU pair, one Fourier stage a side
+        (sl2(2, 0, 0, Fraction(1, 2)), sl2(-1, 0, 0, -1), [("t", 2), ("n", 1)]),
+        (LOWER, sl2(2, 1, 0, Fraction(1, 2)), [("n", 1), ("w",), ("t", 2)]),
+    ]
+    for g, h, word in cases:
+        act = weil_rep.word_action(m, word)
+        assert weil_rep._actions_agree(m, act, weil_rep.word_action(m, word))
+        assert not weil_rep._actions_agree(m, act, _mutated(act, what, row))
+        projective_multiplier(g, h, m)
+        real, calls = weil_rep.word_action, []
+
+        def gh_mutated(*args, **kwargs):
+            # the third word built is gh's
+            calls.append(real(*args, **kwargs))
+            return _mutated(calls[-1], what, row) if len(calls) == 3 else calls[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(weil_rep, "word_action", gh_mutated)
+            with pytest.raises(ModelInconsistencyError):
+                projective_multiplier(g, h, m)
+
+
+def test_fast_paths_see_a_mutated_root():
+    # no phase letter n(+-1) at (3,2) reads roots[3]: x^2 = +-3 mod 81 has no
+    # solution, so only the closed-form Fourier columns see the change
+    m = build_model(3, 2)
+    act = weil_rep.word_action(m, [("n", 1), ("w",), ("t", 2)])
+
+    def streamed(X):  # an opaque stage: path c
+        return act(X)
+
+    assert weil_rep._actions_agree(m, act, streamed)
+    c = projective_multiplier(W, LOWER, m)
+    m.roots[3] = -m.roots[3]
+    assert not weil_rep._actions_agree(m, act, streamed)
+    # op(W) op(LOWER) has two Fourier stages and streams; op(W LOWER) does not
+    with pytest.raises(ModelInconsistencyError):
+        projective_multiplier(W, LOWER, m)
+    m.roots[3] = -m.roots[3]
+    assert projective_multiplier(W, LOWER, m) == c
+
+
+def test_lu_pair_runs_without_an_fft(monkeypatch):
+    m = build_model(3, 2)
+    lu = (LOWER, sl2(2, 1, 0, Fraction(1, 2)))
+    want = [dense_multiplier(*lu, m), dense_multiplier(W, LOWER, m)]
+    ffts = count_ffts(monkeypatch)
+    assert abs(projective_multiplier(*lu, m) - want[0]) < 1e-12
+    assert ffts == []
+    assert abs(projective_multiplier(W, LOWER, m) - want[1]) < 1e-12
+    assert ffts
+
+
 def test_dense_materialisers_stop_at_the_cap():
     big = build_model(11, 2)  # M = 14641: a dense complex matrix would take 3.4 GB
     calls = [
