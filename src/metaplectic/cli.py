@@ -48,11 +48,21 @@ _CAUGHT = (
 
 def render(x) -> str:
     """Exact textual form: rationals as fractions, signs as +-1, eighth
-    roots by name, floats/complex rounded for display only."""
+    roots by name, floats/complex rounded for display only. Every exact
+    result written to stdout or a JSON report is rendered here."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            n = max(abs(x.numerator), x.denominator)
+            digits = int(n.bit_length() * 0.30102999566398120) + 1
+            digits -= n < 10 ** (digits - 1)
+            raise UnsupportedDomainError(
+                f"an exact result has {digits} decimal digits, past the interpreter's"
+                f" limit of {sys.get_int_max_str_digits()} for printing an integer"
+            ) from None
     if isinstance(x, float):
         return f"{x:.9g}"
     if isinstance(x, complex):
@@ -340,10 +350,11 @@ def cmd_lfactor(args) -> int:
 
     sat = _sat_from_args(args)
     f = local_factors(sat)
-    print(f"sym: {render_poly(f.sym.coeffs)}")
-    print(f"ext: {render_poly(f.ext.coeffs)}")
-    print(f"rs:  {render_poly(f.rs.coeffs)}")
-    print(f"sym coefficients: {render(list(f.sym.coeffs))}")
+    # every line is rendered before any is printed: a refused value prints nothing
+    print(f"sym: {render_poly(f.sym.coeffs)}\n"
+          f"ext: {render_poly(f.ext.coeffs)}\n"
+          f"rs:  {render_poly(f.rs.coeffs)}\n"
+          f"sym coefficients: {render(list(f.sym.coeffs))}")
     return 0
 
 
@@ -420,6 +431,8 @@ def ingest_satake(path: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a JSON integer past the int/str digit limit
+        raise DataError(f"{path}: {exc}") from exc
     if not isinstance(data, list):
         raise DataError(f"{path}: top level must be a JSON array of entries")
     out = []
@@ -467,23 +480,23 @@ def cmd_ingest(args) -> int:
     from .symsq import RAMIFIED
 
     table = ingest_satake(args.path)
-    rows = []
+    rows, lines = [], []
     for p, sat in table:
         chi = "ramified" if sat.chi_val == RAMIFIED else render(sat.chi_val)
-        rows.append(
-            {
-                "p": p,
-                "r": sat.r,
-                "alphas": [render(a) for a in sat.alphas],
-                "chi": chi,
-                "omega": render(sat.omega_val),
-            }
+        row = {
+            "p": p,
+            "r": sat.r,
+            "alphas": [render(a) for a in sat.alphas],
+            "chi": chi,
+            "omega": render(sat.omega_val),
+        }
+        rows.append(row)
+        lines.append(
+            f"p={p} r={sat.r} alphas=[{', '.join(row['alphas'])}]"
+            f" chi={chi} omega={row['omega']}"
         )
-        print(
-            f"p={p} r={sat.r} alphas={render(list(sat.alphas))}"
-            f" chi={chi} omega={render(sat.omega_val)}"
-        )
-    print(f"{len(table)} entries ok")
+    lines.append(f"{len(table)} entries ok")
+    print("\n".join(lines))
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")

@@ -19,7 +19,9 @@ from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, UnsupportedDomainError
 from .local_arith import (
+    Frozen,
     Place,
+    Value,
     _hilbert_form,
     _split,
     as_fraction,
@@ -40,7 +42,7 @@ def _sign_power(s: Sign, n: int) -> Sign:
 # block payloads --------------------------------------------------------
 
 
-class Torus:
+class Torus(Value):
     """A diagonal segment: nonzero rational entries."""
 
     __slots__ = ("entries",)
@@ -50,9 +52,6 @@ class Torus:
         if not es or any(e == 0 for e in es):
             raise DomainError("torus entries must be nonzero")
         object.__setattr__(self, "entries", es)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Torus is immutable")
 
     @property
     def size(self) -> int:
@@ -72,20 +71,15 @@ class Torus:
             raise UnsupportedDomainError("torus composition needs equal sizes")
         return Torus(tuple(a * b for a, b in zip(self.entries, other.entries)))
 
-    def __eq__(self, other):
-        return isinstance(other, Torus) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("Torus", self.entries))
-
     def __repr__(self):
         return f"Torus({list(map(str, self.entries))})"
 
 
-class MatrixBlock:
+class MatrixBlock(Value):
     """A 2x2 invertible rational block; ``unimodular`` pins det = 1."""
 
     __slots__ = ("rows", "unimodular")
+    _key = ("rows",)  # a block equals its rows, pinned or not
 
     def __init__(self, rows, unimodular: bool = False):
         m = tuple(tuple(as_fraction(x) for x in row) for row in rows)
@@ -98,9 +92,6 @@ class MatrixBlock:
             raise DomainError(f"unimodular block must have det 1, got {d}")
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "unimodular", unimodular)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MatrixBlock is immutable")
 
     size = 2
 
@@ -124,12 +115,6 @@ class MatrixBlock:
         )
         return MatrixBlock(rows, unimodular=self.unimodular and other.unimodular)
 
-    def __eq__(self, other):
-        return isinstance(other, MatrixBlock) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("MatrixBlock", self.rows))
-
     def __repr__(self):
         return f"MatrixBlock({[[str(x) for x in r] for r in self.rows]})"
 
@@ -142,7 +127,7 @@ def gl2(a, b, c, d) -> MatrixBlock:
     return MatrixBlock(((a, b), (c, d)))
 
 
-class Scalar:
+class Scalar(Value):
     """A central scalar a * identity of the given size."""
 
     __slots__ = ("a", "size")
@@ -156,9 +141,6 @@ class Scalar:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "size", size)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
-
     def det(self) -> Fraction:
         return self.a**self.size
 
@@ -170,16 +152,6 @@ class Scalar:
             raise UnsupportedDomainError("scalar composition needs equal sizes")
         return Scalar(self.a * other.a, self.size)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.a == other.a
-            and self.size == other.size
-        )
-
-    def __hash__(self):
-        return hash(("Scalar", self.a, self.size))
-
     def __repr__(self):
         return f"Scalar({self.a}, size={self.size})"
 
@@ -187,7 +159,7 @@ class Scalar:
 # structured elements ----------------------------------------------------
 
 
-class StructuredElement:
+class StructuredElement(Value):
     """An element of GL_r drawn from the classes the cocycle knows.
 
     Either block-diagonal (an ordered tuple of Torus / MatrixBlock / Scalar
@@ -223,9 +195,6 @@ class StructuredElement:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("StructuredElement is immutable")
 
     # constructors
 
@@ -358,23 +327,13 @@ class StructuredElement:
             tuple(p.compose(q) for p, q in zip(a.blocks, b.blocks))
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StructuredElement)
-            and self.blocks == other.blocks
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash(("StructuredElement", self.blocks, self.matrix))
-
     def __repr__(self):
         if self.is_unipotent:
             return f"StructuredElement(unipotent r={self.r})"
         return f"StructuredElement({list(self.blocks)})"
 
 
-class CoverElement:
+class CoverElement(Value):
     """A pair (g, xi) in the double cover; multiplication goes through
     sigma_eval explicitly, never implicitly."""
 
@@ -386,22 +345,9 @@ class CoverElement:
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "xi", xi)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CoverElement is immutable")
-
     def multiply(self, other: "CoverElement", place: Place) -> "CoverElement":
         sign = sigma_eval(self.element, other.element, place)
         return CoverElement(self.element.compose(other.element), sign * self.xi * other.xi)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoverElement)
-            and self.element == other.element
-            and self.xi == other.xi
-        )
-
-    def __hash__(self):
-        return hash(("CoverElement", self.element, self.xi))
 
     def __repr__(self):
         return f"CoverElement({self.element!r}, xi={self.xi})"
@@ -603,7 +549,7 @@ def block_lemmas_check(
 # value type for genuine characters ---------------------------------------
 
 
-class RootScaled:
+class RootScaled(Value):
     """A positive rational times an eighth root of unity; exact arithmetic.
 
     Negative rational coefficients fold their sign into the root, so the
@@ -620,9 +566,6 @@ class RootScaled:
             coeff, root = -coeff, root * EighthRoot(4)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "root", root)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RootScaled is immutable")
 
     @classmethod
     def one(cls) -> "RootScaled":
@@ -648,21 +591,11 @@ class RootScaled:
     def value(self) -> complex:
         return float(self.coeff) * self.root.value()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootScaled)
-            and self.coeff == other.coeff
-            and self.root == other.root
-        )
-
-    def __hash__(self):
-        return hash(("RootScaled", self.coeff, self.root))
-
     def __repr__(self):
         return f"{self.coeff} * {self.root!r}"
 
 
-class UnramifiedCharacter:
+class UnramifiedCharacter(Frozen):
     """Multiplicative character determined by one value: at a finite place,
     its value at the uniformizer (trivial on units); at the real place, a
     sign character x -> sign(x)^e. Values are exact rationals."""
@@ -679,9 +612,6 @@ class UnramifiedCharacter:
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "at_uniformizer", at_uniformizer)
         object.__setattr__(self, "sign_exponent", sign_exponent % 2)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UnramifiedCharacter is immutable")
 
     def value(self, x) -> Fraction:
         x = as_fraction(x)

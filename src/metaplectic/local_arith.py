@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, OracleConsistencyError
@@ -140,7 +141,43 @@ def prime_factors(n: int) -> list[int]:
     return sorted(out)
 
 
-class Place:
+class Frozen:
+    """Immutable once built: a constructor writes its slots with
+    ``object.__setattr__``, and any later assignment or deletion raises.
+    Equality stays identity, as for a data holder."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Value(Frozen):
+    """A Frozen type equal to another of its own type when the fields named
+    by ``_key`` (every slot unless a class narrows it) are equal, and hashed
+    by those fields alone: their tuple, or the one field itself."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = cls.__dict__.get("_key", cls.__slots__)
+        # a plain class attribute, not a method: call it as self._fields(obj)
+        cls._fields = operator.attrgetter(*cls._key)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+
+class Place(Value):
     """A place of Q: ``Place.finite(p)`` for a prime p, or ``Place.real()``.
 
     Immutable and hashable; ``p`` is None at the real place.
@@ -152,9 +189,6 @@ class Place:
         if p is not None and not is_prime(p):
             raise DomainError(f"finite place needs a prime, got {p}")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Place is immutable")
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -178,12 +212,6 @@ class Place:
     @property
     def is_finite(self) -> bool:
         return self.p is not None
-
-    def __eq__(self, other):
-        return isinstance(other, Place) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("Place", self.p))
 
     def __repr__(self):
         return "Place.real()" if self.p is None else f"Place.finite({self.p})"
@@ -400,7 +428,7 @@ def square_class_rep(a, place: Place) -> Fraction:
     return Fraction(p ** (c & 1) * unit)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Formal power series over Q, truncated at a fixed degree D.
 
     Coefficients are Fractions indexed 0..D; arithmetic never reads past
@@ -420,9 +448,6 @@ class TruncatedSeries:
         elif not cs:
             raise DomainError("empty coefficient list and no degree")
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def one(cls, degree: int) -> "TruncatedSeries":
@@ -507,14 +532,6 @@ class TruncatedSeries:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .local_arith import TruncatedSeries, as_fraction
+from .local_arith import Frozen, TruncatedSeries, Value, as_fraction
 
 RAMIFIED = "ramified"
 
@@ -39,7 +39,7 @@ RAMIFIED = "ramified"
 # partitions ------------------------------------------------------------------
 
 
-class Partition:
+class Partition(Value):
     """A weakly decreasing tuple of nonnegative integers (trailing zeros
     stripped)."""
 
@@ -56,9 +56,6 @@ class Partition:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -74,12 +71,6 @@ class Partition:
         if self.length > r:
             raise DomainError(f"partition {self.parts} does not fit in rank {r}")
         return self.parts + (0,) * (r - self.length)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -110,7 +101,7 @@ def even_dominant_partitions(half_weight: int, max_parts: int):
 # Satake data and local factors ----------------------------------------------
 
 
-class SatakeData:
+class SatakeData(Frozen):
     """Satake parameters of one unramified local component, with the
     residue size and the character value at a uniformizer. The Satake
     values are exact rationals; anything else is a DomainError. chi_val may
@@ -137,9 +128,6 @@ class SatakeData:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "q", int(q))
         object.__setattr__(self, "chi_val", chi_val)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SatakeData is immutable")
 
     @property
     def omega_val(self):
@@ -224,7 +212,7 @@ def _jacobi_trudi(parts, h) -> int:
     )
 
 
-class LocalFactor:
+class LocalFactor(Value):
     """A local L-factor stored by its reciprocal polynomial P, meaning
     L = 1/P at X = q^{-s}. P(0) = 1 always."""
 
@@ -237,9 +225,6 @@ class LocalFactor:
         if not coeffs or coeffs[0] != 1:
             raise DomainError("reciprocal polynomial must have constant term 1")
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("LocalFactor is immutable")
 
     @classmethod
     def one(cls):
@@ -273,9 +258,6 @@ class LocalFactor:
     def __mul__(self, other):
         return LocalFactor(_poly_mul(list(self.coeffs), list(other.coeffs)))
 
-    def __eq__(self, other):
-        return isinstance(other, LocalFactor) and self.coeffs == other.coeffs
-
     def __repr__(self):
         return f"LocalFactor({list(self.coeffs)})"
 
@@ -283,7 +265,7 @@ class LocalFactor:
 # symbolic powers of q ---------------------------------------------------------
 
 
-class QPower:
+class QPower(Value):
     """An exact value of the form coef * q^(q_exp + s_coef * s), with the
     exponent pieces kept as rationals so half-integer powers never float."""
 
@@ -297,9 +279,6 @@ class QPower:
         object.__setattr__(self, "q_exp", q_exp)
         object.__setattr__(self, "s_coef", s_coef)
 
-    def __setattr__(self, *a):
-        raise AttributeError("QPower is immutable")
-
     def is_zero(self) -> bool:
         return self.coef == 0
 
@@ -310,15 +289,6 @@ class QPower:
             self.coef * other.coef,
             self.q_exp + other.q_exp,
             self.s_coef + other.s_coef,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, QPower):
-            return NotImplemented
-        return (
-            self.coef == other.coef
-            and self.q_exp == other.q_exp
-            and self.s_coef == other.s_coef
         )
 
     def value(self, q: int):
@@ -647,7 +617,7 @@ def _is_exact_q_power(val: Fraction, q: int, exponent: Fraction) -> bool:
     return val**b == Fraction(q) ** a
 
 
-class TateFactor:
+class TateFactor(Frozen):
     """The local factor s -> (1 - chi_val q^{-(s + shift)})^{-1}, or the
     constant 1 when the character is ramified. Evaluation at exact s
     detects poles exactly."""
@@ -662,9 +632,6 @@ class TateFactor:
         object.__setattr__(self, "chi_val", chi_val)
         object.__setattr__(self, "shift", as_fraction(shift))
         object.__setattr__(self, "q", int(q))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TateFactor is immutable")
 
     def is_ramified(self) -> bool:
         return self.chi_val == RAMIFIED

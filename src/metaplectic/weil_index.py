@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import DomainError, OracleConsistencyError
 from .local_arith import (
     Place,
+    Value,
     _split,
     as_fraction,
     hilbert,
@@ -33,16 +34,13 @@ from .local_arith import (
 )
 
 
-class EighthRoot:
+class EighthRoot(Value):
     """An eighth root of unity, stored as its exponent k mod 8; value e^(i*pi*k/4)."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: int):
         object.__setattr__(self, "exponent", exponent % 8)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EighthRoot is immutable")
 
     @classmethod
     def from_sign(cls, s: int) -> "EighthRoot":
@@ -78,12 +76,6 @@ class EighthRoot:
             raise DomainError(f"{self} is not +-1")
         return 1 if self.exponent == 0 else -1
 
-    def __eq__(self, other):
-        return isinstance(other, EighthRoot) and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash(("EighthRoot", self.exponent))
-
     _NAMES = {0: "1", 2: "i", 4: "-1", 6: "-i"}
 
     def __repr__(self):
@@ -94,7 +86,7 @@ class EighthRoot:
         return f"e^({num}i*pi/4)"
 
 
-class AdditiveCharacter:
+class AdditiveCharacter(Value):
     """psi_a at a fixed place: the standard character composed with x -> a*x.
 
     ``place`` must be real or an odd finite prime; ``scale`` is the nonzero
@@ -112,9 +104,6 @@ class AdditiveCharacter:
             raise DomainError("even residue characteristic is not supported")
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AdditiveCharacter is immutable")
 
     def twist(self, a) -> "AdditiveCharacter":
         return AdditiveCharacter(self.place, self.scale * as_fraction(a))
@@ -137,16 +126,6 @@ class AdditiveCharacter:
 
     def value(self, x) -> complex:
         return cmath.exp(2j * math.pi * float(self.phase(x)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AdditiveCharacter)
-            and self.place == other.place
-            and self.scale == other.scale
-        )
-
-    def __hash__(self):
-        return hash(("AdditiveCharacter", self.place, self.scale))
 
     def __repr__(self):
         return f"AdditiveCharacter({self.place!r}, scale={self.scale})"

@@ -25,7 +25,7 @@ from metaplectic.cli import (
     render_poly,
     run_cases,
 )
-from metaplectic.errors import DataError, ModelInconsistencyError
+from metaplectic.errors import DataError, ModelInconsistencyError, UnsupportedDomainError
 from metaplectic.local_arith import TruncatedSeries
 from metaplectic.weil_index import EighthRoot
 
@@ -531,3 +531,55 @@ def test_weilrep_cocycle_checks_twenty_triples(seed, tmp_path, capsys):
 def test_zeta_rank_one_names_the_rank(capsys):
     assert main(["zeta", "--r", "1", "--alphas", "2", "--q", "7"]) == 2
     assert "needs rank r >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_suite_all_report_does_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    # value types hash by their fields; no output may follow set or dict order
+    src = Path(metaplectic.__file__).resolve().parent.parent
+    out = tmp_path / "all.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaplectic.cli", "suite", "all", "--seed", "0", "--json", str(out)],
+        capture_output=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == GOLDEN_SUITE_ALL.read_bytes()
+
+
+# exact values past the interpreter's int/str digit limit --------------------------
+
+BIG = "123456789012345678901"
+
+
+def test_render_names_the_digit_count_past_the_limit():
+    assert render(Fraction(10**4299, 7)) == str(10**4299) + "/7"
+    with pytest.raises(UnsupportedDomainError, match="has 4301 decimal digits"):
+        render(Fraction(7, 10**4300))
+    with pytest.raises(UnsupportedDomainError, match="has 4301 decimal digits"):
+        render([1, -(10**4301 - 1)])
+
+
+def test_lfactor_past_the_digit_limit_exits_two(capsys):
+    argv = ["lfactor", "--r", "12", "--alphas", ",".join([BIG] * 12), "--q", "7"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: an exact result has ") and "decimal digits" in err
+
+
+def test_ingest_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # the product of two 4000-digit Satake values is past the limit on output
+    table = tmp_path / "big.json"
+    table.write_text(json.dumps([{"p": 7, "alphas": ["9" * 4000, "9" * 4000]}]))
+    out = tmp_path / "out.json"
+    assert main(["ingest", str(table), "--json", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: an exact result has 8000 decimal digits")
+    # a JSON integer past the limit is refused on input
+    table.write_text('[{"p": 7, "alphas": [' + "9" * 4400 + "]}]")
+    assert main(["ingest", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "4400 digits" in err

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic import weil_rep
+from metaplectic import checks, weil_rep
 from metaplectic.cocycle import UnramifiedCharacter, gl2, kubota_sl2, sl2
 from metaplectic.errors import (
     DomainError,
@@ -750,6 +750,43 @@ def test_parity_sees_a_middle_block_corruption(monkeypatch):
     assert parity_invariance_check(m, ("t", 2))
     corrupt_letters(monkeypatch, "t", j)
     assert not parity_invariance_check(m, ("t", 2))
+
+
+def test_central_scalar_row_sees_a_last_block_corruption(monkeypatch):
+    rows = {case_id: fn for case_id, _, fn in checks.weilrep_suite(*STREAMED)}
+    row = rows["weilrep/central-scalar@(5,2)"]
+    assert row(random.Random(0)) == (0, 0)
+    corrupt_letters(monkeypatch, "central", build_model(*STREAMED).size - 1)
+    assert row(random.Random(0)) == (0, 4)
+
+
+@pytest.mark.parametrize("b_index", [0, 1, 7])
+def test_whittaker_check_needs_a_monomial_n_letter(monkeypatch, b_index):
+    # n(c) is diagonal: an n letter that is not one monomial fails the
+    # check, even where its error leaves row b alone
+    m = build_model(3, 2)
+    assert whittaker_eigen_check(m, b_index, 2)
+    corrupt_letters(monkeypatch, "n", m.size - 1)
+    assert not whittaker_eigen_check(m, b_index, 2)
+
+
+@pytest.mark.parametrize("field", ["scale", "index"])
+def test_whittaker_check_reads_row_b_of_the_monomial(monkeypatch, field):
+    m, b = build_model(3, 2), 4
+    letter = weil_rep._letter
+
+    def bent(model, gen, *args, **kwargs):
+        mono = letter(model, gen, *args, **kwargs)
+        scale, index = mono.scale.copy(), mono.index.copy()
+        if field == "scale":
+            scale[b] = -scale[b]
+        else:
+            index[b] = b + 1
+        return weil_rep._Monomial(scale, index)
+
+    monkeypatch.setattr(weil_rep, "_letter", bent)
+    assert not whittaker_eigen_check(m, b, 2)
+    assert whittaker_eigen_check(m, b + 1, 2)
 
 
 # fused stages and the three check paths ----------------------------------------
