@@ -58,28 +58,8 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "AdditiveCharacter",
-    "ConvergenceDomainError",
-    "DataError",
-    "DomainError",
-    "EighthRoot",
-    "ModelInconsistencyError",
-    "OracleConsistencyError",
-    "Place",
-    "PreconditionError",
-    "SatakeData",
-    "StructuredElement",
-    "UnramifiedCharacter",
-    "UnsupportedDomainError",
-    "build_model",
-    "gamma",
-    "hilbert",
-    "local_factors",
-    "mu",
-    "pole_report",
-    "projective_multiplier",
-    "sigma_eval",
-    "square_class_rep",
-    "unramified_zeta_check",
-]
+# the error classes imported above, then the lazy names
+__all__ = sorted(
+    [n for n, v in globals().items() if isinstance(v, type) and issubclass(v, Exception)]
+    + list(_LAZY)
+)

@@ -22,25 +22,16 @@ from fractions import Fraction
 # process loads (and, without a bytecode cache, compiles) only what its
 # command needs. Every command parses a place or a prime.
 from .errors import (
-    ConvergenceDomainError,
     DataError,
     DomainError,
     ModelInconsistencyError,
     OracleConsistencyError,
-    PreconditionError,
     UnsupportedDomainError,
+    digits_past_limit,
 )
 from .local_arith import Place, is_prime
 
-_CAUGHT = (
-    DomainError,
-    UnsupportedDomainError,
-    PreconditionError,
-    OracleConsistencyError,
-    ModelInconsistencyError,
-    ConvergenceDomainError,
-    DataError,
-)
+_CAUGHT = (DomainError, OracleConsistencyError, ModelInconsistencyError, DataError)
 
 
 # rendering ------------------------------------------------------------------
@@ -53,16 +44,13 @@ def render(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
-        try:
-            return str(x)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            n = max(abs(x.numerator), x.denominator)
-            digits = int(n.bit_length() * 0.30102999566398120) + 1
-            digits -= n < 10 ** (digits - 1)
+        digits = digits_past_limit(x)
+        if digits:
             raise UnsupportedDomainError(
                 f"an exact result has {digits} decimal digits, past the interpreter's"
                 f" limit of {sys.get_int_max_str_digits()} for printing an integer"
-            ) from None
+            )
+        return str(x)
     if isinstance(x, float):
         return f"{x:.9g}"
     if isinstance(x, complex):

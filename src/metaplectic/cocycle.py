@@ -3,10 +3,11 @@ where closed formulas exist, plus the genuine characters built from them.
 
 The cocycle sigma_r is a partial evaluator by design: it knows the torus
 rule, the block-diagonal rule (with Kubota's formula inside 2x2 blocks of
-determinant one), the unipotent rule, and the central-scalar rule. Anything
-else raises UnsupportedDomainError rather than extrapolating. On a standard
-parabolic Levi the block rule is the block cocycle: per-block cocycles
-times Hilbert cross-terms of determinants.
+determinant one) and the unipotent rule. Anything else raises
+UnsupportedDomainError rather than extrapolating. On a standard parabolic
+Levi the block rule is the block cocycle: per-block cocycles times Hilbert
+cross-terms of determinants. Central scalars are tori with one repeated
+entry, so the torus rule gives their (a, b)^(r(r-1)/2) as well.
 
 Cocycle formulas are pure Hilbert-symbol algebra and work at every place of
 Q including 2; the character layer (which needs a Weil index) is restricted
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionError, UnsupportedDomainError
+from .errors import DomainError, PreconditionError, UnsupportedDomainError, shown
 from .local_arith import (
     Frozen,
     Place,
@@ -33,10 +34,6 @@ from .local_arith import (
 from .weil_index import AdditiveCharacter, EighthRoot, mu
 
 Sign = int
-
-
-def _sign_power(s: Sign, n: int) -> Sign:
-    return s if n % 2 else 1
 
 
 # block payloads --------------------------------------------------------
@@ -72,7 +69,7 @@ class Torus(Value):
         return Torus(tuple(a * b for a, b in zip(self.entries, other.entries)))
 
     def __repr__(self):
-        return f"Torus({list(map(str, self.entries))})"
+        return f"Torus({list(map(shown, self.entries))})"
 
 
 class MatrixBlock(Value):
@@ -89,7 +86,7 @@ class MatrixBlock(Value):
         if d == 0:
             raise DomainError("matrix block must be invertible")
         if unimodular and d != 1:
-            raise DomainError(f"unimodular block must have det 1, got {d}")
+            raise DomainError(f"unimodular block must have det 1, got {shown(d)}")
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "unimodular", unimodular)
 
@@ -116,7 +113,7 @@ class MatrixBlock(Value):
         return MatrixBlock(rows, unimodular=self.unimodular and other.unimodular)
 
     def __repr__(self):
-        return f"MatrixBlock({[[str(x) for x in r] for r in self.rows]})"
+        return f"MatrixBlock({[[shown(x) for x in r] for r in self.rows]})"
 
 
 def sl2(a, b, c, d) -> MatrixBlock:
@@ -153,7 +150,7 @@ class Scalar(Value):
         return Scalar(self.a * other.a, self.size)
 
     def __repr__(self):
-        return f"Scalar({self.a}, size={self.size})"
+        return f"Scalar({shown(self.a)}, size={self.size})"
 
 
 # structured elements ----------------------------------------------------
@@ -243,14 +240,9 @@ class StructuredElement(Value):
     @property
     def torus_entries(self) -> tuple:
         """Diagonal entries, for torus and central elements."""
-        if self.is_torus:
-            out = []
-            for b in self.blocks:
-                out.extend(b.entries)
-            return tuple(out)
-        if self.is_central:
-            return (self.blocks[0].a,) * self.r
-        raise UnsupportedDomainError("element has no diagonal form")
+        if not (self.is_torus or self.is_central):
+            raise UnsupportedDomainError("element has no diagonal form")
+        return tuple(x for b in self.blocks for x in _diagonal(b))
 
     def is_identity(self) -> bool:
         if self.is_unipotent:
@@ -341,7 +333,7 @@ class CoverElement(Value):
 
     def __init__(self, element: StructuredElement, xi: Sign = 1):
         if xi not in (1, -1):
-            raise DomainError(f"cover sign must be +-1, got {xi}")
+            raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "xi", xi)
 
@@ -354,6 +346,18 @@ class CoverElement(Value):
 
 
 # the cocycle ------------------------------------------------------------
+
+
+def _diagonal(payload):
+    """The diagonal entries of a Torus, a Scalar or a diagonal MatrixBlock;
+    None for a MatrixBlock with an off-diagonal entry."""
+    if isinstance(payload, Torus):
+        return payload.entries
+    if isinstance(payload, Scalar):
+        return (payload.a,) * payload.size
+    if payload.is_diagonal():
+        return (payload.rows[0][0], payload.rows[1][1])
+    return None
 
 
 def _torus_rule(ts, hs, place: Place) -> Sign:
@@ -382,55 +386,33 @@ def kubota_sl2(g, h, place: Place) -> Sign:
 
 
 def _payload_sigma(g, h, place: Place) -> Sign:
+    # g and h fill one slot, so they have one size
     if g.is_identity() or h.is_identity():
         return 1
-    if isinstance(g, Scalar) and isinstance(h, Scalar) and g.size == h.size:
-        return _sign_power(hilbert(g.a, h.a, place), g.size * (g.size - 1) // 2)
-    def diag_of(b):
-        if isinstance(b, Torus):
-            return b.entries
-        if isinstance(b, Scalar):
-            return (b.a,) * b.size
-        if b.is_diagonal():
-            return (b.rows[0][0], b.rows[1][1])
-        return None
-
-    gt, ht = diag_of(g), diag_of(h)
-    if gt is not None and ht is not None and len(gt) == len(ht):
+    gt, ht = _diagonal(g), _diagonal(h)
+    if gt is not None and ht is not None:
         return _torus_rule(gt, ht, place)
-    if (
-        isinstance(g, MatrixBlock)
-        and isinstance(h, MatrixBlock)
-        and g.det() == 1
-        and h.det() == 1
-    ):
+    if isinstance(g, MatrixBlock) and isinstance(h, MatrixBlock) and g.det() == h.det() == 1:
         return kubota_sl2(g, h, place)
-    raise UnsupportedDomainError(
-        f"no block cocycle formula for this pair: {g!r}, {h!r}"
-    )
+    raise UnsupportedDomainError(f"no block cocycle formula for this pair: {g!r}, {h!r}")
 
 
 def sigma_eval(g: StructuredElement, h: StructuredElement, place: Place) -> Sign:
     """The cover cocycle sigma_r(g, h) on the supported element classes.
 
-    Rules, in dispatch order: identity on either side gives +1; a unipotent
-    upper-triangular argument gives +1; central scalar pairs give
-    (a, b)^(r(r-1)/2); torus pairs give the product of (t_i, h_j) over
-    i < j; matching block-diagonal pairs give the per-block cocycles times
-    (det g_i, det h_j) over block slots i < j. Everything else raises
-    UnsupportedDomainError.
+    Rules, in dispatch order: an identity or unipotent upper-triangular
+    argument on either side gives +1; torus and central pairs give the
+    product of (t_i, h_j) over i < j, which for a * I and b * I is
+    (a, b)^(r(r-1)/2); block-diagonal pairs on one partition give the
+    per-block cocycles times (det g_i, det h_j) over block slots i < j,
+    where a block is a torus, a central scalar or a 2x2 block (the torus
+    rule on diagonal entries, Kubota's formula for two determinant-one
+    blocks). Everything else raises UnsupportedDomainError.
     """
     if g.r != h.r:
         raise UnsupportedDomainError("rank mismatch")
-    if g.is_identity() or h.is_identity():
+    if g.is_unipotent or h.is_unipotent or g.is_identity() or h.is_identity():
         return 1
-    if g.is_unipotent or h.is_unipotent:
-        return 1
-    if g.is_central and h.is_central:
-        n = g.r
-        return _sign_power(
-            hilbert(g.blocks[0].a, h.blocks[0].a, place), n * (n - 1) // 2
-        )
     if (g.is_torus or g.is_central) and (h.is_torus or h.is_central):
         return _torus_rule(g.torus_entries, h.torus_entries, place)
     # partitions must agree; payload classes may differ slot by slot, and
@@ -442,10 +424,7 @@ def sigma_eval(g: StructuredElement, h: StructuredElement, place: Place) -> Sign
     s = 1
     for p, q in zip(g.blocks, h.blocks):
         s *= _payload_sigma(p, q, place)
-    dets_g = [p.det() for p in g.blocks]
-    dets_h = [q.det() for q in h.blocks]
-    s *= _torus_rule(dets_g, dets_h, place)
-    return s
+    return s * _torus_rule([p.det() for p in g.blocks], [q.det() for q in h.blocks], place)
 
 
 def sigma_torus_even_reduced(t: StructuredElement, h: StructuredElement, place: Place) -> Sign:
@@ -466,16 +445,11 @@ def global_sigma_product(g: StructuredElement, h: StructuredElement) -> Sign:
     factor could be nontrivial (primes of the entries' numerators and
     denominators, plus 2). The product formula says +1; computed, not
     assumed."""
-    vals = []
-    for e in (g, h):
-        for b in e.blocks or ():
-            if isinstance(b, Torus):
-                vals.extend(b.entries)
-            elif isinstance(b, Scalar):
-                vals.append(b.a)
-            else:
-                vals.extend(x for row in b.rows for x in row if x != 0)
-            vals.append(b.det())
+    vals = set()
+    for b in (g.blocks or ()) + (h.blocks or ()):
+        d = _diagonal(b)
+        vals.update(d if d is not None else (x for row in b.rows for x in row if x))
+        vals.add(b.det())
     s = sigma_eval(g, h, Place.real())
     for p in symbol_primes(vals):
         s *= sigma_eval(g, h, Place._certified(p))
@@ -491,15 +465,14 @@ def cocycle_identity_check(
     return lhs == rhs
 
 
-def _embed(payload, slot: int, partition) -> StructuredElement:
+def _embed(payloads: dict, partition) -> StructuredElement:
+    # payloads maps a slot to its payload; every other slot is an identity
     blocks = []
-    for idx, size in enumerate(partition):
-        if idx == slot:
-            if payload.size != size:
-                raise DomainError(f"payload size {payload.size} != slot size {size}")
-            blocks.append(payload)
-        else:
-            blocks.append(Torus((Fraction(1),) * size))
+    for slot, size in enumerate(partition):
+        payload = payloads.get(slot) or Torus((Fraction(1),) * size)
+        if payload.size != size:
+            raise DomainError(f"payload size {payload.size} != slot size {size}")
+        blocks.append(payload)
     return StructuredElement.block_diagonal(blocks)
 
 
@@ -528,19 +501,15 @@ def block_lemmas_check(
         for blk in (g, h):
             if not same_square_class(blk.det(), 1, place):
                 raise PreconditionError(
-                    f"block determinant {blk.det()} is not a square at {place}"
+                    f"block determinant {shown(blk.det())} is not a square at {place}"
                 )
-    ei_g = _embed(g, i, partition)
-    ej_h = _embed(h, j, partition)
+    ei_g = _embed({i: g}, partition)
+    ej_h = _embed({j: h}, partition)
     commutes = sigma_eval(ei_g, ej_h, place) == sigma_eval(ej_h, ei_g, place)
 
-    both = [
-        g if idx == i else (h if idx == j else Torus((Fraction(1),) * size))
-        for idx, size in enumerate(partition)
-    ]
-    full = StructuredElement.block_diagonal(both)
+    full = _embed({i: g, j: h}, partition)
     blockwise = 1
-    for payload in both:
+    for payload in full.blocks:
         blockwise *= _payload_sigma(payload, payload, place)
     homomorphic = sigma_eval(full, full, place) == blockwise
     return commutes and homomorphic
@@ -648,7 +617,7 @@ def character_eval(
     if not t.in_even_torus(place):
         raise PreconditionError("argument is not in the even square subtorus")
     if xi not in (1, -1):
-        raise DomainError(f"cover sign must be +-1, got {xi}")
+        raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
     entries = t.torus_entries
     out = RootScaled(chi.value(t.det())) * xi
     if kind == "standard":
@@ -684,7 +653,7 @@ def central_char_eval(
     chi_value and eta_value are the already-evaluated character values at a.
     """
     if xi not in (1, -1):
-        raise DomainError(f"cover sign must be +-1, got {xi}")
+        raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
     if q < 1:
         raise DomainError("block count must be positive")
     a = as_fraction(a)

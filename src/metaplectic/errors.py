@@ -4,6 +4,9 @@ Every contract violation raises one of these; no operation silently guesses
 an answer outside its supported domain.
 """
 
+import sys
+from fractions import Fraction
+
 
 class DomainError(ValueError):
     """An argument is outside an operation's mathematical domain (zero input,
@@ -39,3 +42,25 @@ class ConvergenceDomainError(DomainError):
 
 class DataError(ValueError):
     """Structured input (a Satake table and the like) failed validation."""
+
+
+def digits_past_limit(x) -> int:
+    """The decimal digit count of an int or Fraction whose ``str`` would pass
+    the interpreter's int-to-str digit limit (of its larger part, for a
+    Fraction); 0 for anything that prints."""
+    limit = sys.get_int_max_str_digits()
+    if not isinstance(x, (int, Fraction)) or not limit:
+        return 0
+    n = max(abs(x.numerator), x.denominator)
+    if n.bit_length() <= 3 * limit:  # below 10^limit, so it prints
+        return 0
+    digits = int(n.bit_length() * 0.30102999566398120) + 1
+    digits -= n < 10 ** (digits - 1)
+    return digits if digits > limit else 0
+
+
+def shown(x) -> str:
+    """``str(x)`` for an error message, with a placeholder for a number past
+    the interpreter's digit limit, so building the message cannot fail."""
+    digits = digits_past_limit(x)
+    return f"<a number with {digits} digits>" if digits else str(x)

@@ -20,7 +20,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DomainError, OracleConsistencyError
+from .errors import DomainError, OracleConsistencyError, shown
 
 Rational = Fraction
 
@@ -49,7 +49,7 @@ def is_prime(n: int) -> bool:
     return a probable answer.
     """
     if n >= _MR_BOUND:
-        raise DomainError(f"primality of {n} is outside the exact range n < {_MR_BOUND}")
+        raise DomainError(f"primality of {shown(n)} is outside the exact range n < {_MR_BOUND}")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -136,7 +136,7 @@ def prime_factors(n: int) -> list[int]:
             out.add(m)
         else:
             raise DomainError(
-                f"cannot certify the factor {m} prime: the exact range is n < {_MR_BOUND}"
+                f"cannot certify the factor {shown(m)} prime: the exact range is n < {_MR_BOUND}"
             )
     return sorted(out)
 
@@ -260,7 +260,7 @@ def legendre(a, p: int) -> int:
         raise DomainError(f"legendre needs an odd prime, got {p}")
     a = as_fraction(a)
     if a.numerator % p == 0 or a.denominator % p == 0:
-        raise DomainError(f"{a} is not a unit at {p}")
+        raise DomainError(f"{shown(a)} is not a unit at {p}")
     return -1 if _class(a, p) & 2 else 1
 
 

@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceDomainError,
     DomainError,
     PreconditionError,
+    shown,
 )
 from .local_arith import Frozen, TruncatedSeries, Value, as_fraction
 
@@ -301,7 +302,7 @@ class QPower(Value):
         return float(self.coef) * float(q) ** float(self.q_exp)
 
     def __repr__(self):
-        return f"QPower({self.coef}, q_exp={self.q_exp}, s_coef={self.s_coef})"
+        return f"QPower({shown(self.coef)}, q_exp={self.q_exp}, s_coef={self.s_coef})"
 
 
 # Schur polynomials: two independent algorithms --------------------------------

@@ -22,7 +22,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import DomainError, OracleConsistencyError
+from .errors import DomainError, OracleConsistencyError, shown
 from .local_arith import (
     Place,
     Value,
@@ -48,7 +48,7 @@ class EighthRoot(Value):
             return cls(0)
         if s == -1:
             return cls(4)
-        raise DomainError(f"not a sign: {s}")
+        raise DomainError(f"not a sign: {shown(s)}")
 
     def __mul__(self, other):
         if isinstance(other, EighthRoot):

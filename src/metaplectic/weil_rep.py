@@ -52,12 +52,14 @@ from .errors import (
     ModelInconsistencyError,
     PreconditionError,
     UnsupportedDomainError,
+    shown,
 )
 from .local_arith import (
     Frozen,
     Place,
     _split,
     as_fraction,
+    hilbert,
     is_prime,
     same_square_class,
     valuation_and_unit,
@@ -340,7 +342,7 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
     if kind == "sign":
         xi = gen[1]
         if xi not in (1, -1):
-            raise DomainError(f"cover sign must be +-1, got {xi}")
+            raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
         return _Monomial(float(xi), k)
     raise DomainError(f"unknown generator {gen!r}")
 
@@ -482,7 +484,7 @@ def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -
 # canonical words and the empirical multiplier ----------------------------
 
 
-def canonical_word(mat, place_hint=None) -> list:
+def canonical_word(mat) -> list:
     """Canonical generator word for a 2x2 block: determinant one gives the
     Bruhat form (n w t n for a nonzero lower-left entry, t n otherwise); a
     square determinant s^2 peels off d(s) on the right."""
@@ -499,7 +501,7 @@ def canonical_word(mat, place_hint=None) -> list:
     s = _sqrt_fraction(det)
     if s is None:
         raise UnsupportedDomainError(
-            f"no canonical word: determinant {det} is not a rational square"
+            f"no canonical word: determinant {shown(det)} is not a rational square"
         )
     # peel the square factor off the second column: M = M0 * diag(1, s^2)
     inner = ((al, be / (s * s)), (ga, de / (s * s)))
@@ -573,8 +575,6 @@ def borel_sign(mat, place: Place) -> int:
     not an assumption)."""
     rows = mat.rows if hasattr(mat, "rows") else mat
     if rows[1][0] == 0:
-        from .local_arith import hilbert
-
         return hilbert(rows[0][0], -1, place)
     return 1
 
@@ -637,8 +637,6 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
     rescaling the character by p moves the self-dual lattice, which this
     fixed-carrier model cannot represent faithfully.
     """
-    from .local_arith import hilbert
-
     a = as_fraction(a)
     p = model.p
     if a == 0:

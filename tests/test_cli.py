@@ -583,3 +583,13 @@ def test_ingest_past_the_digit_limit_exits_two(tmp_path, capsys):
     assert main(["ingest", str(table)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "4400 digits" in err
+
+
+def test_library_message_with_a_huge_value_exits_two(capsys):
+    # the block's det has 8000 digits; its error message shows a placeholder
+    nines = "9" * 4000
+    argv = ["cocycle", f"sl2({nines},1,1,{nines})", "sl2(1,0,0,1)", "--place", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "error: unimodular block must have det 1, got <a number with 8000 digits>\n"

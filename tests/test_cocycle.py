@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.cocycle import (
     CoverElement,
@@ -358,6 +360,84 @@ def test_tau_square_det_cross_terms_vanish():
     h = StructuredElement.block_diagonal([Torus((25, 1)), Torus((Fraction(1, 4), 1))])
     per_block = hilbert(4, 1, place) * hilbert(9, 1, place)
     assert sigma_eval(g, h, place) == per_block == 1
+
+
+# Block-diagonal pairs on one random partition of r <= 6: each slot holds a
+# Torus, a Scalar or (in a slot of size 2) a diagonal gl2, chosen per side.
+# The block rule on them must be the torus rule on their diagonals, since the
+# cross-terms (det g_i, det h_j) expand bilinearly into the (t_k, h_l).
+
+_PLACES = [Place.real()] + [Place.finite(p) for p in (2, 3, 5, 7)]
+_RATIONALS = st.builds(
+    Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12)
+)
+
+
+def _diagonal_payload(draw, size):
+    kind = draw(st.sampled_from(["torus", "scalar", "gl2"][: 2 + (size == 2)]))
+    if kind == "torus":
+        return Torus(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
+    if kind == "scalar":
+        return Scalar(draw(_RATIONALS), size)
+    return gl2(draw(_RATIONALS), 0, 0, draw(_RATIONALS))
+
+
+@st.composite
+def _levi_pair(draw):
+    r = draw(st.integers(1, 6))
+    sizes = []
+    while sum(sizes) < r:
+        sizes.append(draw(st.integers(1, r - sum(sizes))))
+    g, h = (
+        StructuredElement.block_diagonal([_diagonal_payload(draw, k) for k in sizes])
+        for _ in range(2)
+    )
+    return g, h
+
+
+def _flattened(e):
+    entries = []
+    for b in e.blocks:
+        if isinstance(b, Torus):
+            entries.extend(b.entries)
+        elif isinstance(b, Scalar):
+            entries.extend([b.a] * b.size)
+        else:
+            entries.extend([b.rows[0][0], b.rows[1][1]])
+    return StructuredElement.torus(entries)
+
+
+@given(pair=_levi_pair(), place=st.sampled_from(_PLACES))
+@settings(max_examples=300, deadline=None)
+def test_block_rule_on_diagonal_payloads_is_torus_rule_hypothesis(pair, place):
+    g, h = pair
+    assert sigma_eval(g, h, place) == sigma_eval(_flattened(g), _flattened(h), place)
+
+
+@given(
+    a=_RATIONALS,
+    b=_RATIONALS,
+    r=st.integers(1, 6),
+    place=st.sampled_from(_PLACES),
+)
+@settings(max_examples=200, deadline=None)
+def test_central_pair_is_torus_with_repeated_entries_hypothesis(a, b, r, place):
+    got = sigma_eval(StructuredElement.central(a, r), StructuredElement.central(b, r), place)
+    assert got == sigma_eval(torus(*[a] * r), torus(*[b] * r), place)
+    # the closed form (a, b)^(r(r-1)/2)
+    assert got == hilbert(a, b, place) ** (r * (r - 1) // 2)
+
+
+def test_block_lemmas_check_rejects_a_payload_of_the_wrong_size():
+    with pytest.raises(DomainError, match="payload size 1 != slot size 2"):
+        block_lemmas_check(0, 1, Torus((4,)), Torus((9, 1)), Place.finite(3))
+
+
+def test_block_lemmas_check_names_a_huge_determinant():
+    # det 3 * 10^8000 has 8001 digits, past the interpreter's printing limit
+    g = Torus((3 * 10**8000, 1))
+    with pytest.raises(PreconditionError, match="<a number with 8001 digits>"):
+        block_lemmas_check(0, 1, g, Torus((4, 1)), Place.finite(3))
 
 
 def test_block_lemmas_check_true_cases():

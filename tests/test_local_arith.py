@@ -391,6 +391,12 @@ def test_is_prime_bound_is_a_named_error():
         Place.finite(10**30)
 
 
+def test_is_prime_names_an_input_past_the_digit_limit():
+    # str(10**5000) would raise ValueError while the message is built
+    with pytest.raises(DomainError, match="primality of <a number with 5001 digits>"):
+        is_prime(10**5000)
+
+
 def test_symbols_at_a_sixteen_digit_place():
     p = 1_000_000_000_000_037
     place = Place.finite(p)
