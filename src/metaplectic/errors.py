@@ -61,6 +61,10 @@ def digits_past_limit(x) -> int:
 
 def shown(x) -> str:
     """``str(x)`` for an error message, with a placeholder for a number past
-    the interpreter's digit limit, so building the message cannot fail."""
+    the interpreter's digit limit, so building the message cannot fail. A
+    tuple is shown element by element, in the form ``str`` gives it."""
+    if isinstance(x, tuple):
+        inner = ", ".join(map(shown, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
     digits = digits_past_limit(x)
     return f"<a number with {digits} digits>" if digits else str(x)

@@ -50,9 +50,9 @@ class Partition(Value):
         parts = tuple(int(x) for x in parts)
         for x, y in zip(parts, parts[1:]):
             if x < y:
-                raise DomainError(f"parts must be weakly decreasing: {parts}")
+                raise DomainError(f"parts must be weakly decreasing: {shown(parts)}")
         if parts and parts[-1] < 0:
-            raise DomainError(f"parts must be nonnegative: {parts}")
+            raise DomainError(f"parts must be nonnegative: {shown(parts)}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
@@ -70,11 +70,11 @@ class Partition(Value):
 
     def padded(self, r: int) -> tuple:
         if self.length > r:
-            raise DomainError(f"partition {self.parts} does not fit in rank {r}")
+            raise DomainError(f"partition {shown(self.parts)} does not fit in rank {r}")
         return self.parts + (0,) * (r - self.length)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{shown(self.parts)}"
 
 
 def partitions_at_most(total: int, max_parts: int):

@@ -3,13 +3,14 @@
 The carrier is the quotient (p^-N integers)/(p^N integers), of size p^(2N),
 with each point carrying Haar mass p^-N. Functions on it stand in for
 Schwartz functions supported on the lattice p^-N Z_p and constant on cosets
-of p^N Z_p; that window is self-dual, so the Fourier transform with kernel
-psi(2xy) acts exactly and the double transform is exactly the parity flip.
+of p^N Z_p; that window is self-dual, so the Fourier transform F with
+kernel psi(2xy) and mass p^-N acts exactly and F^2 is exactly the parity
+flip. F is defined in one place, the w letter.
 
 Generator actions (chi is an auxiliary multiplicative character, supplied
 as already-evaluated values where needed):
 
-    w         f -> gamma(psi) * fourier(f)
+    w         f -> gamma(psi) * F f
     n(b)      f -> psi(b x^2) f(x)
     t(a)      f -> |a|^(1/2) mu(a) f(a x)
     d(s)      f -> chi(s) |s|^(-1/2) f(s^-1 x)   (the cover point diag(1, s^2))
@@ -34,14 +35,13 @@ bijective head is built in closed form from the M-th roots of unity, O(M^2)
 gathers. Only past the first Fourier stage, or behind a head that is not a
 bijection, does a check run the FFT, O(M^2 log M). Columns are built in
 blocks of B = max(1, 2^13 // M), under 128 KiB each up to M = 2^13, so
-memory is O(M B). The dense matrix of a word is its action applied to the
-whole identity, built only on request and only up to M = 2500 carrier
-points (100 MB per matrix).
+memory is O(M B). The dense matrix of a letter (operator) or of a word
+(op_of_word) is its action applied to the whole identity, built only on
+request and only up to M = 2500 carrier points (100 MB per matrix).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -92,7 +92,7 @@ def _sqrt_fraction(x: Fraction):
 
 
 class FiniteWeilModel(Frozen):
-    """Carrier, exact phase bookkeeping, and the Fourier transform for one
+    """Carrier, exact phase bookkeeping, and the Fourier index for one
     (p, N, psi). The additive character must have unit scale so the kernel
     psi(2xy) is well defined pointwise on the carrier. ``roots`` holds
     exp(2 pi i r / M) for r = 0..M-1: every quadratic phase is one of them,
@@ -117,21 +117,17 @@ class FiniteWeilModel(Frozen):
         """The rational value of carrier index k: k / p^N."""
         return Fraction(k % self.size, self.p**self.N)
 
-    def points(self):
-        return [self.point(k) for k in range(self.size)]
-
-    def negate_index(self, k: int) -> int:
-        return (-k) % self.size
-
     def negate_indices(self) -> np.ndarray:
-        """negate_index(k) for every carrier index k at once."""
+        """The index of -x_k, for every carrier index k."""
         return -np.arange(self.size, dtype=np.int64) % self.size
 
     def _residue(self, a: Fraction) -> int:
         """a mod M for a rational a with p-integral denominator."""
         return a.numerator * pow(a.denominator, -1, self.size) % self.size
 
-    def _scale_residue(self, a) -> int:
+    def scale_indices(self, a) -> np.ndarray:
+        """The index of a * x_k, for every carrier index k; requires
+        v_p(a) >= 0."""
         a = as_fraction(a)
         if a == 0:
             raise DomainError("valuation of 0 is undefined")
@@ -140,27 +136,7 @@ class FiniteWeilModel(Frozen):
             raise PreconditionError(
                 f"substitution by valuation {v} leaves the carrier"
             )
-        return self._residue(a)
-
-    def scale_index(self, k: int, a: Fraction) -> int:
-        """Index of a * x_k; requires v_p(a) >= 0."""
-        return k * self._scale_residue(a) % self.size
-
-    def scale_indices(self, a: Fraction) -> np.ndarray:
-        """scale_index(k, a) for every carrier index k at once."""
-        r = self._scale_residue(a)
-        return r * np.arange(self.size, dtype=np.int64) % self.size
-
-    def fourier_block(self, X: np.ndarray) -> np.ndarray:
-        """The transform of fourier() applied along axis 0 of X:
-        (F X)[k] = p^-N sum_j psi(2 x_j x_k) X[j] = p^N ifft(X)[c2 k mod M]."""
-        return self.p**self.N * np.fft.ifft(X, axis=0)[self._fourier_index]
-
-    def fourier_matrix(self) -> np.ndarray:
-        """The dense M x M transform kernel, materialised on demand (M up to
-        the dense cap)."""
-        _check_dense(self)
-        return self.fourier_block(_identity(self))
+        return self._residue(a) * np.arange(self.size, dtype=np.int64) % self.size
 
     def __repr__(self):
         return f"FiniteWeilModel(p={self.p}, N={self.N}, scale={self.psi.scale})"
@@ -186,54 +162,6 @@ def build_model(p: int, N: int, scale=1) -> FiniteWeilModel:
             "character scale must be a unit; twist the model, not the lattice"
         )
     return FiniteWeilModel(p, N, AdditiveCharacter(place, scale))
-
-
-class ModelFunction(Frozen):
-    """A function on the carrier: a complex amplitude per point."""
-
-    __slots__ = ("model", "values")
-
-    def __init__(self, model: FiniteWeilModel, values):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (model.size,):
-            raise DomainError(f"need {model.size} amplitudes, got {values.shape}")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def indicator_integers(cls, model: FiniteWeilModel) -> "ModelFunction":
-        # the p-adic integers inside the carrier: indices divisible by p^N
-        v = np.zeros(model.size, dtype=np.complex128)
-        v[:: model.p**model.N] = 1.0
-        return cls(model, v)
-
-    @classmethod
-    def random(cls, model: FiniteWeilModel, rng) -> "ModelFunction":
-        v = np.array(
-            [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(model.size)]
-        )
-        return cls(model, v)
-
-    def _flip(self) -> np.ndarray:
-        return self.values[self.model.negate_indices()]
-
-    def even_part(self) -> "ModelFunction":
-        return ModelFunction(self.model, (self.values + self._flip()) / 2)
-
-    def odd_part(self) -> "ModelFunction":
-        return ModelFunction(self.model, (self.values - self._flip()) / 2)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __sub__(self, other):
-        return ModelFunction(self.model, self.values - other.values)
-
-
-def fourier(f: ModelFunction) -> ModelFunction:
-    """The transform with kernel psi(2xy) and mass p^-N per point; applying
-    it twice gives exactly the parity flip."""
-    return ModelFunction(f.model, f.model.fourier_block(f.values))
 
 
 # generator operators -----------------------------------------------------
@@ -301,7 +229,8 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
     k = np.arange(M, dtype=np.int64)
     kind = gen[0]
     if kind == "w":
-        # gamma(psi) times fourier_block, with p^N folded into the one scalar
+        # the transform (F X)[k] = p^-N sum_j psi(2 x_j x_k) X[j], which is
+        # p^N ifft(X)[c2 k mod M], times gamma(psi): p^N joins the one scalar
         scalar = gamma(model.psi).value() * p**N
         return _Action((_ifft, _Monomial(scalar, model._fourier_index)))
     if kind == "n":
@@ -344,7 +273,7 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
         if xi not in (1, -1):
             raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
         return _Monomial(float(xi), k)
-    raise DomainError(f"unknown generator {gen!r}")
+    raise DomainError(f"unknown generator {shown(gen)}")
 
 
 def _check_dense(model: FiniteWeilModel):
@@ -485,33 +414,23 @@ def op_of_word(model: FiniteWeilModel, word, chi=None, extended: bool = False) -
 
 
 def canonical_word(mat) -> list:
-    """Canonical generator word for a 2x2 block: determinant one gives the
-    Bruhat form (n w t n for a nonzero lower-left entry, t n otherwise); a
-    square determinant s^2 peels off d(s) on the right."""
-    rows = mat.rows if hasattr(mat, "rows") else tuple(
-        tuple(as_fraction(x) for x in row) for row in mat
-    )
-    al, be = rows[0]
-    ga, de = rows[1]
+    """Canonical generator word for a 2x2 matrix block: determinant one gives
+    the Bruhat form (n w t n for a nonzero lower-left entry, t n otherwise);
+    a square determinant s^2 peels off d(s) on the right."""
+    (al, be), (ga, de) = mat.rows
     det = al * de - be * ga
-    if det == 1:
-        if ga == 0:
-            return [("t", al), ("n", be / al)]
-        return [("n", al / ga), ("w",), ("t", -ga), ("n", de / ga)]
-    s = _sqrt_fraction(det)
-    if s is None:
-        raise UnsupportedDomainError(
-            f"no canonical word: determinant {shown(det)} is not a rational square"
-        )
-    # peel the square factor off the second column: M = M0 * diag(1, s^2)
-    inner = ((al, be / (s * s)), (ga, de / (s * s)))
-    return canonical_word(inner) + [("d", s)]
-
-
-def operator_for_matrix(model: FiniteWeilModel, mat, chi=None) -> np.ndarray:
-    """Dense operator of a matrix block through its canonical word, up to the
-    dense cap."""
-    return op_of_word(model, canonical_word(mat), chi=chi, extended=True)
+    tail = []
+    if det != 1:
+        s = _sqrt_fraction(det)
+        if s is None:
+            raise UnsupportedDomainError(
+                f"no canonical word: determinant {shown(det)} is not a rational square"
+            )
+        # peel the square factor off the second column: M = M0 * diag(1, s^2)
+        be, de, tail = be / (s * s), de / (s * s), [("d", s)]
+    if ga == 0:
+        return [("t", al), ("n", be / al)] + tail
+    return [("n", al / ga), ("w",), ("t", -ga), ("n", de / ga)] + tail
 
 
 def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
@@ -528,10 +447,7 @@ def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     """
     act_g = word_action(model, canonical_word(g), chi=chi, extended=True)
     act_h = word_action(model, canonical_word(h), chi=chi, extended=True)
-    gh = g.compose(h) if hasattr(g, "compose") else None
-    if gh is None:
-        raise DomainError("g and h must be composable matrix blocks")
-    act_gh = word_action(model, canonical_word(gh), chi=chi, extended=True)
+    act_gh = word_action(model, canonical_word(g.compose(h)), chi=chi, extended=True)
     act_prod = _chain(act_h, act_g)
     prod, ogh = _single_monomial(act_prod), _single_monomial(act_gh)
     if prod is not None and ogh is not None:
@@ -573,10 +489,8 @@ def borel_sign(mat, place: Place) -> int:
     entry against -1; elsewhere +1. Its coboundary is the exact discrepancy
     between the model multiplier and Kubota's formula (a tested contract,
     not an assumption)."""
-    rows = mat.rows if hasattr(mat, "rows") else mat
-    if rows[1][0] == 0:
-        return hilbert(rows[0][0], -1, place)
-    return 1
+    (al, _), (ga, _) = mat.rows
+    return hilbert(al, -1, place) if ga == 0 else 1
 
 
 # structural checks --------------------------------------------------------
@@ -588,21 +502,6 @@ def parity_invariance_check(model: FiniteWeilModel, gen, chi_value=None) -> bool
     act = _letter(model, gen, chi_value=chi_value)
     # P op P for the flip permutation P is op with rows and columns negated
     return _actions_agree(model, act, act, perm=model.negate_indices())
-
-
-def whittaker_eigen_check(model: FiniteWeilModel, b_index: int, c) -> bool:
-    """Evaluation at carrier point b composed with the quadratic-phase
-    generator n(c) multiplies by psi(c b^2): the eigenproperty of the
-    evaluation functional. n(c) must be one monomial, whose row b is the
-    single entry scale[b] in column index[b]; any other letter fails."""
-    c = as_fraction(c)
-    mono = _single_monomial(_chain(_letter(model, ("n", c))))
-    b = model.point(b_index)
-    expect = cmath.exp(2j * math.pi * float(model.psi.phase(c * b * b)))
-    if mono is None:
-        return False
-    k = b_index % model.size
-    return bool(mono.index[k] == k and abs(mono.scale[k] - expect) < OP_TOL)
 
 
 def whittaker_functional_exists(model: FiniteWeilModel, a) -> bool:
@@ -692,18 +591,18 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
 def tensor_whittaker_check(model: FiniteWeilModel, block_scales, targets) -> bool:
     """Product-evaluation functionals on a small tensor of twisted models.
 
-    Builds one twisted model per block scale a_i and asks whether a product
-    of evaluation functionals transforms under the block-diagonal quadratic
-    phases by the tuple character with coefficients (b_1, ..., b_q): true
-    iff for every block some nonzero carrier point x has a_i x^2 in the
-    square class of b_i. The absence direction exhausts the carrier's
-    square classes per block, so a False is a proof at model scale.
+    Block i is the model with its character twisted by a_i, of scale a_i s
+    for the model's scale s. A product of evaluation functionals transforms
+    under the block-diagonal quadratic phases by the tuple character with
+    coefficients (b_1, ..., b_q) iff for every block some nonzero carrier
+    point x has a_i s x^2 in the square class of b_i s. As x^2 is a square,
+    that is whittaker_functional_exists on each block: one comparison of
+    the square classes of b_i s and a_i s, with no block model built.
     """
     if len(block_scales) != len(targets):
         raise DomainError("need one target per block scale")
-    for a_i, b_i in zip(block_scales, targets):
-        a_i, b_i = as_fraction(a_i), as_fraction(b_i)
-        block = FiniteWeilModel(model.p, model.N, model.psi.twist(a_i))
-        if not whittaker_functional_exists(block, b_i * model.psi.scale):
-            return False
-    return True
+    s = model.psi.scale
+    return all(
+        same_square_class(as_fraction(b_i) * s, as_fraction(a_i) * s, model.place)
+        for a_i, b_i in zip(block_scales, targets)
+    )

@@ -3,6 +3,7 @@ determinism, and the Satake ingestion diagnostics."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,7 +26,12 @@ from metaplectic.cli import (
     render_poly,
     run_cases,
 )
-from metaplectic.errors import DataError, ModelInconsistencyError, UnsupportedDomainError
+from metaplectic.errors import (
+    DataError,
+    DomainError,
+    ModelInconsistencyError,
+    UnsupportedDomainError,
+)
 from metaplectic.local_arith import TruncatedSeries
 from metaplectic.weil_index import EighthRoot
 
@@ -593,3 +599,119 @@ def test_library_message_with_a_huge_value_exits_two(capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err == "error: unimodular block must have det 1, got <a number with 8000 digits>\n"
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: symsq.Partition((1, HUGE)),
+        lambda: symsq.Partition((HUGE,)).padded(0),
+        lambda: weil_rep.word_action(weil_rep.build_model(3, 1), [("zz", HUGE)]),
+    ],
+    ids=["partition-order", "partition-padded", "unknown-letter"],
+)
+def test_library_messages_show_a_huge_part(build):
+    # str() of a tuple holding a 5001-digit int raises ValueError
+    with pytest.raises(DomainError, match="<a number with 5001 digits>"):
+        build()
+
+
+def test_partition_repr_shows_a_huge_part():
+    assert repr(symsq.Partition((HUGE, 1))) == "Partition(<a number with 5001 digits>, 1)"
+    assert repr(symsq.Partition((3,))) == "Partition(3,)"
+
+
+# boundary fuzz ---------------------------------------------------------------------
+#
+# Seeded argvs at the edges of every compute command, `ingest`, `euler` and
+# `suite symbols --json`, run in this process. Each must exit 0, 1 or 2, exit 1
+# only with a verdict line, exit 2 with a line on stderr, and never show a
+# traceback.
+
+# each field draws from (inputs in the documented domain, edge inputs)
+FUZZ_RATIONALS = (["1", "-1", "2", "3", "1/2", "-3/4", "0.5", "49/9", "-7", "100000000003",
+                   "100000000000000000039"], ["0", "inf", "x", "1/0", ""])
+FUZZ_PLACES = (["inf", "2", "3", "7", "23", "100000000003", "100000000000000000039"],
+               ["4", "1", "0", "-3", "x", "9" * 30])
+FUZZ_ELEMENTS = (["torus(2,3)", "torus(3,5)", "torus(1/2,-7)", "central(2,3)", "sl2(1,1,0,1)",
+                  "sl2(0,1,-1,0)", "gl2(2,0,0,2)", "blocks[sl2(0,1,-1,0),torus(2,3)]",
+                  "blocks[sl2(1,2,0,1),torus(3,5)]"],
+                 ["torus(0,1)", "sl2(2,0,0,1)", "gl2(0,0,0,0)", "sl2(", "x"])
+FUZZ_TABLES = {
+    "ok": json.dumps([{"p": 2, "alphas": ["1/2", 3], "chi": 1}, {"p": 5, "alphas": [1, 1]}]),
+    "ramified": json.dumps([{"p": 3, "alphas": ["3/2", "2/3"], "chi": "ramified"}]),
+    "big": json.dumps([{"p": 7, "alphas": ["100000000000000000039", "-1"]}]),
+    "broken": "[{",
+    "object": "{}",
+    "not-prime": '[{"p": 4, "alphas": ["1"]}]',
+    "zero-alpha": '[{"p": 3, "alphas": ["1", "0"]}]',
+    "duplicate": '[{"p": 3, "alphas": ["1"]}, {"p": 3, "alphas": ["2"]}]',
+    "boolean": '[{"p": 3, "alphas": [true]}]',
+    "past-the-limit": '[{"p": 7, "alphas": [' + "9" * 4400 + "]}]",
+}
+
+
+def _fuzz_argvs(rng, tables, out):
+    def pick(pools):
+        good, edge = pools
+        return rng.choice(edge if rng.random() < 0.15 else good)
+
+    def symsq_args():
+        r = pick((["2", "3", "4"], ["-1", "0", "1", "x"]))
+        count = int(r) if r.isdigit() and rng.random() < 0.85 else rng.randint(1, 4)
+        return ["--r", r, "--alphas", ",".join(pick(FUZZ_RATIONALS) for _ in range(count)),
+                "--chi", pick((["1", "-1", "1/2", "ramified"], ["0", "x"])),
+                "--q", pick((["2", "7", "9"], ["-1", "0", "1", "x"]))]
+
+    makers = [
+        lambda: ["hilbert", "-a", pick(FUZZ_RATIONALS), "-b", pick(FUZZ_RATIONALS),
+                 "--place", pick(FUZZ_PLACES)],
+        lambda: ["weil-gamma", "--place", pick(FUZZ_PLACES), "--scale", pick(FUZZ_RATIONALS)],
+        lambda: ["weil-mu", "-a", pick(FUZZ_RATIONALS), "--place", pick(FUZZ_PLACES),
+                 "--scale", pick(FUZZ_RATIONALS)],
+        lambda: ["cocycle", pick(FUZZ_ELEMENTS), pick(FUZZ_ELEMENTS), "--place", pick(FUZZ_PLACES)],
+        lambda: ["lfactor", *symsq_args()],
+        lambda: ["zeta", *symsq_args(), "--deg", pick((["0", "1", "5", "20"], ["-1", "x"]))],
+        lambda: ["poles", "--r", pick((["1", "2", "5"], ["-1", "0", "x"])),
+                 "--trivial", pick((["true", "false"], ["maybe"]))],
+        lambda: ["ingest", pick((tables[:3], tables[3:]))] + (["--json", out] if rng.random() < 0.3 else []),
+        lambda: ["euler", "--table", pick((tables[:3], tables[3:])),
+                 "--s", pick((["2", "3", "7/2"], ["1/2", "0", "-1", "x", "inf"]))],
+    ]
+    argvs = [rng.choice(makers)() for _ in range(196)]
+    argvs += [["suite", "symbols", "--json", out, "--seed", str(seed)] for seed in (0, 1, 2, -5)]
+    return argvs
+
+
+def _has_verdict(stdout):
+    for line in stdout.splitlines():
+        if line.startswith("identity to X^") and line.endswith(": false"):
+            return True
+        counts = line.split()
+        if line.startswith("  ") and counts[1:2] == ["passed,"] and (counts[2], counts[4]) != ("0", "0"):
+            return True
+    return False
+
+
+def test_boundary_argvs_exit_cleanly(tmp_path, capsys):
+    tables = [_write(tmp_path, f"{name}.json", payload) for name, payload in FUZZ_TABLES.items()]
+    tables.append(str(tmp_path / "missing.json"))
+    codes = []
+    for argv in _fuzz_argvs(random.Random(0), tables, str(tmp_path / "out.json")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
+            pytest.fail(f"{argv}: {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert code != 1 or _has_verdict(out), argv
+        assert code != 2 or err.strip(), argv
+        codes.append(code)
+    # the draw reaches both answers and refusals
+    assert codes.count(0) > 20 and codes.count(2) > 20

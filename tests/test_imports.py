@@ -2,6 +2,8 @@
 used (the finite Weil model and the two brute-force oracles), and each CLI
 command loads only the package modules it runs."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -204,3 +206,28 @@ def test_command_loads_only_its_modules(argv, extra, tmp_path):
     if argv[0] != "suite":
         assert "metaplectic.checks" not in loaded  # only suites compile the checks
     assert loaded == ALWAYS | {f"metaplectic.{m}" for m in extra}
+
+
+# the benchmark's traced names ---------------------------------------------------------
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced_layers():
+    """LAYERS from the benchmark's span installer, read as a literal so the
+    benchmark is neither imported nor run."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS table in {SPANS}")
+
+
+def test_every_traced_name_exists():
+    # a traced run fetches each name with getattr; a deleted one breaks it
+    layers = _traced_layers()
+    assert set(layers) == {"local_arith", "weil_index", "cocycle", "weil_rep", "symsq"}
+    for layer, names in layers.items():
+        module = importlib.import_module(f"metaplectic.{layer}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (layer, missing)

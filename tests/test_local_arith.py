@@ -479,7 +479,7 @@ def test_certified_primes_are_not_tested_again(monkeypatch):
     assert reciprocity_product(Fraction(3 * 1000003, 7 * 999983), Fraction(-p, 11 * 1000033)) == 1
     torus = StructuredElement.torus
     assert global_sigma_product(torus((2, 3 * 1000003)), torus((5, -p))) == 1
-    assert model.place.p == 3 and model.scale_index(1, 5) == 5
+    assert model.place.p == 3 and model.scale_indices(5)[1] == 5
     assert twist_intertwiner_check(2, model)
 
 

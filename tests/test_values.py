@@ -27,7 +27,6 @@ FACTORIES = {
     "TateFactor": lambda: symsq.TateFactor(2, Fraction(1, 2), 7),
     "UnramifiedCharacter": lambda: cocycle.UnramifiedCharacter(Place.finite(5), 2),
     "FiniteWeilModel": lambda: weil_rep.build_model(3, 1),
-    "ModelFunction": lambda: weil_rep.ModelFunction.indicator_integers(weil_rep.build_model(3, 1)),
 }
 
 

@@ -32,21 +32,18 @@ from metaplectic.local_arith import Place, hilbert, square_class_rep, valuation_
 from metaplectic.weil_index import gamma, mu
 from metaplectic.weil_rep import (
     FiniteWeilModel,
-    ModelFunction,
     borel_sign,
     build_model,
     canonical_word,
     central_word_check,
-    fourier,
     op_of_word,
     operator,
-    operator_for_matrix,
     parity_invariance_check,
     projective_multiplier,
     tensor_whittaker_check,
     twist_intertwiner_check,
-    whittaker_eigen_check,
     whittaker_functional_exists,
+    word_action,
 )
 
 MODELS = [(3, 1), (3, 2), (5, 1), (7, 1)]
@@ -99,50 +96,68 @@ def test_carrier_indexing():
     m = build_model(5, 1)
     assert m.point(0) == 0
     assert m.point(7) == Fraction(7, 5)
-    assert m.negate_index(7) == 18
-    assert m.scale_index(7, Fraction(2)) == 14
+    assert m.negate_indices()[7] == 18
+    assert m.scale_indices(Fraction(2))[7] == 14
     # scaling by p collapses depth: x=7/5 -> 7, index 7*5 mod 25
-    assert m.scale_index(7, 5) == 10
+    assert m.scale_indices(5)[7] == 10
     with pytest.raises(PreconditionError):
-        m.scale_index(7, Fraction(1, 5))
+        m.scale_indices(Fraction(1, 5))
+    with pytest.raises(DomainError):
+        m.scale_indices(0)
 
 
 # Fourier --------------------------------------------------------------------
+#
+# F is op(w) / gamma(psi): the transform with kernel psi(2xy) and mass p^-N.
+
+
+def fourier_operator(m):
+    return operator(m, ("w",)) / gamma(m.psi).value()
+
+
+def random_function(m, seed):
+    rng = random.Random(seed)
+    return np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m.size)])
 
 
 @pytest.mark.parametrize("p,N", MODELS)
 def test_fourier_double_transform_is_parity_flip(p, N):
     m = build_model(p, N)
-    rng = random.Random(11)
-    f = ModelFunction.random(m, rng)
-    twice = fourier(fourier(f))
-    flipped = f._flip()
-    assert np.max(np.abs(twice.values - flipped)) < 1e-9
+    f = random_function(m, 11)
+    F = fourier_operator(m)
+    assert np.max(np.abs(F @ (F @ f) - f[m.negate_indices()])) < 1e-9
+    # the w letter's action on a block of columns does the same
+    twice = word_action(m, [("w",), ("w",)])(f[:, None])[:, 0]
+    assert np.max(np.abs(twice - gamma(m.psi).value() ** 2 * f[m.negate_indices()])) < 1e-9
 
 
 @pytest.mark.parametrize("p,N", MODELS)
 def test_fourier_is_unitary(p, N):
     m = build_model(p, N)
-    F = m.fourier_matrix()
+    F = fourier_operator(m)
     assert np.max(np.abs(F @ F.conj().T - np.eye(m.size))) < 1e-9
 
 
 def test_integer_indicator_is_fourier_fixed_point():
     # the unit lattice is self-dual for an unramified character
     for m in models():
-        f = ModelFunction.indicator_integers(m)
-        assert np.max(np.abs(fourier(f).values - f.values)) < 1e-9
+        f = np.zeros(m.size, dtype=np.complex128)
+        f[:: m.p**m.N] = 1.0  # the p-adic integers: indices divisible by p^N
+        assert np.max(np.abs(fourier_operator(m) @ f - f)) < 1e-9
 
 
 def test_even_odd_split():
     m = build_model(3, 1)
-    rng = random.Random(5)
-    f = ModelFunction.random(m, rng)
-    assert np.max(np.abs(f.even_part().values + f.odd_part().values - f.values)) < 1e-12
+    f = random_function(m, 5)
+    flip = m.negate_indices()
+    even, odd = (f + f[flip]) / 2, (f - f[flip]) / 2
     # only the origin is fixed by negation, so the odd part vanishes there
-    assert abs(f.odd_part().values[0]) < 1e-12
-    fixed = sum(1 for k in range(m.size) if m.negate_index(k) == k)
-    assert fixed == 1
+    assert np.count_nonzero(flip == np.arange(m.size)) == 1 and abs(odd[0]) < 1e-12
+    # the generators keep the even and the odd functions apart
+    for gen in [("w",), ("n", 1), ("t", 2), ("t", -1)]:
+        op = operator(m, gen)
+        assert np.max(np.abs((op @ even)[flip] - op @ even)) < 1e-12, gen
+        assert np.max(np.abs((op @ odd)[flip] + op @ odd)) < 1e-12, gen
 
 
 # generator windows ----------------------------------------------------------
@@ -200,10 +215,10 @@ def test_canonical_word_shapes():
     assert [g[0] for g in w] == ["n", "w", "t", "n"]
     assert w[2] == ("t", Fraction(-1))
     # square determinant peels off a d-letter
-    word = canonical_word(((Fraction(4), Fraction(0)), (Fraction(0), Fraction(1))))
-    assert word[-1] == ("d", Fraction(2))
+    assert canonical_word(gl2(4, 0, 0, 1)) == [("t", 4), ("n", 0), ("d", 2)]
+    assert canonical_word(gl2(2, 4, 1, 4)) == [("n", 2), ("w",), ("t", -1), ("n", 1), ("d", 2)]
     with pytest.raises(UnsupportedDomainError):
-        canonical_word(((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+        canonical_word(gl2(2, 0, 0, 1))
 
 
 @pytest.mark.parametrize("p,N", MODELS)
@@ -213,10 +228,10 @@ def test_canonical_word_operator_matches_direct_generators(p, N):
     # the direct generator operator exactly
     for a in (2, -1):
         direct = operator(m, ("t", a))
-        via_word = operator_for_matrix(m, sl2(a, 0, 0, Fraction(1, a)))
+        via_word = op_of_word(m, canonical_word(sl2(a, 0, 0, Fraction(1, a))), extended=True)
         assert np.max(np.abs(direct - via_word)) < 1e-9
     direct = operator(m, ("n", 2))
-    via_word = operator_for_matrix(m, sl2(1, 2, 0, 1))
+    via_word = op_of_word(m, canonical_word(sl2(1, 2, 0, 1)), extended=True)
     assert np.max(np.abs(direct - via_word)) < 1e-9
 
 
@@ -369,11 +384,18 @@ def test_parity_invariance_of_generators(p, N):
 
 @pytest.mark.parametrize("p,N", MODELS)
 def test_whittaker_eigen_property(p, N):
+    # evaluation at carrier point b composed with n(c) multiplies by
+    # psi(c b^2): row b of n(c) is that one phase, on the diagonal
     m = build_model(p, N)
     cs = [1, 2, -1] + ([p] if N >= 2 else [])
-    for b_index in (1, 2, m.size - 1, m.size // 2):
-        for c in cs:
-            assert whittaker_eigen_check(m, b_index, c)
+    for c in cs:
+        op = operator(m, ("n", c))
+        for b_index in (1, 2, m.size - 1, m.size // 2):
+            b = Fraction(b_index, p**N)
+            expect = cmath.exp(2j * math.pi * float(m.psi.phase(c * b * b)))
+            row = np.zeros(m.size, dtype=np.complex128)
+            row[b_index] = expect
+            assert np.max(np.abs(op[b_index] - row)) < 1e-12, (b_index, c)
 
 
 def test_whittaker_functional_existence_by_square_class():
@@ -462,6 +484,20 @@ def test_tensor_whittaker_square_class_criterion():
         tensor_whittaker_check(m, (1, 2), (1,))
 
 
+def test_tensor_whittaker_reads_square_classes_alone(monkeypatch):
+    # a block scale of negative valuation: the twisted block has no carrier
+    # of its own, but the answer is a square-class comparison (1/3 ~ 3)
+    m = build_model(3, 1)
+
+    def refuse(*args):
+        raise AssertionError("a block model was built")
+
+    monkeypatch.setattr(FiniteWeilModel, "__init__", refuse)
+    assert tensor_whittaker_check(m, (Fraction(1, 3),), (3,)) is True
+    assert tensor_whittaker_check(m, (Fraction(1, 3),), (1,)) is False
+    assert tensor_whittaker_check(m, (Fraction(1, 3), 2), (3, 2)) is True
+
+
 def test_tensor_whittaker_other_models():
     for m in models()[2:]:
         u = {5: 2, 7: 3}[m.p]
@@ -486,21 +522,32 @@ def test_weyl_operator_value():
     # unit scale the index is 1 so op(w) is the plain transform
     m = build_model(7, 1)
     assert gamma(m.psi).value() == 1
-    assert np.max(np.abs(operator(m, ("w",)) - m.fourier_matrix())) < 1e-12
+    assert np.max(np.abs(operator(m, ("w",)) - dense_fourier(m))) < 1e-12
 
 
 # dense oracle --------------------------------------------------------------------
 #
 # The dense construction the library used before operators became actions,
-# rebuilt point by point from psi.phase, scale_index and the explicit
-# transform kernel psi(2xy) p^-N. Phases come from Fraction arithmetic and
-# products from dense matmul, with no FFT and no vectorised indices; only the
-# substitution residue inside scale_index is shared with the letter actions.
+# rebuilt point by point from psi.phase and the explicit transform kernel
+# psi(2xy) p^-N. Carrier points and substitution indices are computed here
+# from Fractions, phases from Fraction arithmetic and products by dense
+# matmul: no FFT, no vectorised indices, nothing shared with the letters.
+
+
+def carrier_points(m):
+    return [Fraction(k, m.p**m.N) for k in range(m.size)]
+
+
+def carrier_index(m, x):
+    """The carrier index of a point x of the lattice p^-N Z_p: the k with
+    x = k / p^N modulo p^N Z_p."""
+    y = x * m.p**m.N
+    return y.numerator * pow(y.denominator, -1, m.size) % m.size
 
 
 @functools.cache
 def dense_fourier(m):
-    pts = m.points()
+    pts = carrier_points(m)
     return np.array(
         [[cmath.exp(2j * math.pi * float(m.psi.phase(2 * x * y))) for y in pts] for x in pts]
     ) * m.p ** (-m.N)
@@ -514,7 +561,7 @@ def dense_operator(m, gen, chi_value=None):
     if kind == "n":
         b = Fraction(gen[1])
         return np.diag(
-            [cmath.exp(2j * math.pi * float(m.psi.phase(b * x * x))) for x in m.points()]
+            [cmath.exp(2j * math.pi * float(m.psi.phase(b * x * x))) for x in carrier_points(m)]
         )
     if kind in ("t", "d"):
         a = Fraction(gen[1])
@@ -524,8 +571,8 @@ def dense_operator(m, gen, chi_value=None):
         else:
             target, scalar = 1 / a, complex(chi_value) * p ** (v / 2)
         out = np.zeros((M, M), dtype=np.complex128)
-        for k in range(M):
-            out[k, m.scale_index(k, target)] = scalar
+        for k, x in enumerate(carrier_points(m)):
+            out[k, carrier_index(m, target * x)] = scalar
         return out
     if kind == "central":
         return complex(chi_value) * mu(Fraction(gen[1]), m.psi).value() * np.eye(M)
@@ -544,7 +591,7 @@ ORACLE_MODELS = [(3, 1), (3, 2), (5, 1)]
 
 
 def _oracle_generators(p, N):
-    gens = [("w",), ("n", 1), ("n", 2), ("n", Fraction(-2, 7)), ("t", 2), ("t", -1),
+    gens = [("w",), ("n", 1), ("n", 2), ("n", -1), ("n", Fraction(-2, 7)), ("t", 2), ("t", -1),
             ("t", Fraction(4, 7)), ("d", 2), ("d", Fraction(1, 2)), ("central", 2),
             ("central", p), ("sign", 1), ("sign", -1)]
     if N >= 2:
@@ -571,9 +618,9 @@ def test_words_and_fourier_match_dense_oracle(p, N):
         word = canonical_word(g)
         got = op_of_word(m, word, chi=chi, extended=True)
         assert np.max(np.abs(got - dense_word(m, word, chi))) < 1e-12, word
-    f = ModelFunction.random(m, random.Random(3))
-    assert np.max(np.abs(fourier(f).values - dense_fourier(m) @ f.values)) < 1e-12
-    assert np.max(np.abs(m.fourier_matrix() - dense_fourier(m))) < 1e-12
+    f = random_function(m, 3)
+    got = word_action(m, [("w",)])(f[:, None])[:, 0]
+    assert np.max(np.abs(got - gamma(m.psi).value() * dense_fourier(m) @ f)) < 1e-12
 
 
 _cached_model = functools.cache(build_model)
@@ -760,35 +807,6 @@ def test_central_scalar_row_sees_a_last_block_corruption(monkeypatch):
     assert row(random.Random(0)) == (0, 4)
 
 
-@pytest.mark.parametrize("b_index", [0, 1, 7])
-def test_whittaker_check_needs_a_monomial_n_letter(monkeypatch, b_index):
-    # n(c) is diagonal: an n letter that is not one monomial fails the
-    # check, even where its error leaves row b alone
-    m = build_model(3, 2)
-    assert whittaker_eigen_check(m, b_index, 2)
-    corrupt_letters(monkeypatch, "n", m.size - 1)
-    assert not whittaker_eigen_check(m, b_index, 2)
-
-
-@pytest.mark.parametrize("field", ["scale", "index"])
-def test_whittaker_check_reads_row_b_of_the_monomial(monkeypatch, field):
-    m, b = build_model(3, 2), 4
-    letter = weil_rep._letter
-
-    def bent(model, gen, *args, **kwargs):
-        mono = letter(model, gen, *args, **kwargs)
-        scale, index = mono.scale.copy(), mono.index.copy()
-        if field == "scale":
-            scale[b] = -scale[b]
-        else:
-            index[b] = b + 1
-        return weil_rep._Monomial(scale, index)
-
-    monkeypatch.setattr(weil_rep, "_letter", bent)
-    assert not whittaker_eigen_check(m, b, 2)
-    assert whittaker_eigen_check(m, b + 1, 2)
-
-
 # fused stages and the three check paths ----------------------------------------
 #
 # A word is a list of stages with neighbouring monomials fused. Two monomial
@@ -935,8 +953,7 @@ def test_dense_materialisers_stop_at_the_cap():
     calls = [
         lambda: operator(big, ("w",)),
         lambda: op_of_word(big, [("n", 1), ("w",)]),
-        lambda: operator_for_matrix(big, sl2(1, 1, 0, 1)),
-        big.fourier_matrix,
+        lambda: op_of_word(big, canonical_word(sl2(1, 1, 0, 1)), extended=True),
     ]
     for call in calls:
         tracemalloc.start()
