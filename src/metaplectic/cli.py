@@ -121,7 +121,7 @@ def parse_rational_list(text: str):
 # element expression grammar ---------------------------------------------------
 #
 #   torus(2,3,5)       diagonal element
-#   central(a,r)       scalar a embedded in GL_r
+#   central(a,r)       scalar a embedded in GL_r: torus(a,...,a), r entries
 #   sl2(a,b,c,d)       a 2x2 block with determinant 1
 #   gl2(a,b,c,d)       a 2x2 block (any nonzero determinant)
 #   blocks[e1, e2]     block-diagonal combination of the above
@@ -148,8 +148,13 @@ def _split_top(text: str, sep: str = ","):
     return [p.strip() for p in parts if p.strip()]
 
 
+# One argv string is at most 128 KiB on Linux, so torus(...) cannot list more
+# entries than this either; a larger central rank would only allocate.
+_CENTRAL_RANK_CAP = 1 << 16
+
+
 def _parse_payload(text: str):
-    from .cocycle import Scalar, Torus, gl2, sl2
+    from .cocycle import StructuredElement, Torus, gl2, sl2
 
     text = text.strip()
     for head, close in (("torus(", ")"), ("central(", ")"), ("sl2(", ")"), ("gl2(", ")")):
@@ -161,7 +166,11 @@ def _parse_payload(text: str):
             if head == "central(":
                 if len(vals) != 2 or vals[1].denominator != 1 or vals[1] < 1:
                     raise DataError(f"central(a, r) needs integer rank: {text!r}")
-                return Scalar(vals[0], int(vals[1]))
+                if vals[1] > _CENTRAL_RANK_CAP:
+                    raise DataError(
+                        f"central(a, r) needs rank at most {_CENTRAL_RANK_CAP}: {text!r}"
+                    )
+                return StructuredElement.central(vals[0], int(vals[1])).blocks[0]
             if len(vals) != 4:
                 raise DataError(f"{head[:-1]} needs four entries: {text!r}")
             return (sl2 if head == "sl2(" else gl2)(*vals)
@@ -184,15 +193,6 @@ def parse_element(text: str) -> "StructuredElement":
 # check report ------------------------------------------------------------------
 
 
-class Case:
-    __slots__ = ("id", "inputs", "fn")
-
-    def __init__(self, case_id, inputs, fn):
-        self.id = case_id
-        self.inputs = inputs
-        self.fn = fn  # () -> (expected, got); pass iff rendered equal
-
-
 def _summary(rows):
     counts = {"pass": 0, "fail": 0, "error": 0, "skipped": 0}
     for row in rows:
@@ -202,13 +202,14 @@ def _summary(rows):
 
 
 def run_cases(suite_name, cases, timings=False, case_filter=None):
+    """Run (id, inputs, fn) cases; fn() -> (expected, got), pass iff rendered equal."""
     rows = []
-    for case in cases:
-        if case_filter and not case.id.startswith(case_filter):
+    for case_id, inputs, fn in cases:
+        if case_filter and not case_id.startswith(case_filter):
             continue
         started = time.perf_counter()
         try:
-            expected, got = case.fn()
+            expected, got = fn()
             status = "pass" if render(expected) == render(got) else "fail"
         except Exception as exc:  # one broken case must not abort the report
             expected, got = "", f"{type(exc).__name__}: {exc}"
@@ -216,8 +217,8 @@ def run_cases(suite_name, cases, timings=False, case_filter=None):
         elapsed = (time.perf_counter() - started) * 1000.0
         rows.append(
             {
-                "id": case.id,
-                "inputs": case.inputs,
+                "id": case_id,
+                "inputs": inputs,
                 "expected": render(expected),
                 "got": render(got),
                 "status": status,
@@ -269,7 +270,7 @@ def cmd_suite(args) -> int:
     for name in sorted(names, key=lambda name: name == "weilrep"):
         head = name + "/"  # every case id of the suite starts with it
         if not args.suite or head.startswith(args.suite) or args.suite.startswith(head):
-            built[name] = [Case(*row) for row in suite_cases(name, args.seed, args.p, args.N)]
+            built[name] = suite_cases(name, args.seed, args.p, args.N)
     rows = []
     code = 0
     for name in names:
@@ -493,6 +494,10 @@ def cmd_ingest(args) -> int:
 
 # argument plumbing ------------------------------------------------------------------
 
+_ALPHAS_HELP = (
+    "comma-separated rationals; a list that starts with a minus sign needs the"
+    " = form, --alphas=-7,1/2,1, since argparse reads -7,... as an option")
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -536,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = sub.add_parser("zeta", help="unramified toral zeta series and identity check")
     pz.add_argument("--r", type=int, required=True)
-    pz.add_argument("--alphas", required=True, help="comma-separated rationals")
+    pz.add_argument("--alphas", required=True, help=_ALPHAS_HELP)
     pz.add_argument("--chi", default="1")
     pz.add_argument("--q", type=int, required=True)
     pz.add_argument("--deg", type=_nonnegative_int, default=10, help=(
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("lfactor", help="local factors: symmetric, exterior, product")
     pl.add_argument("--r", type=int, required=True)
-    pl.add_argument("--alphas", required=True)
+    pl.add_argument("--alphas", required=True, help=_ALPHAS_HELP)
     pl.add_argument("--chi", default="1")
     pl.add_argument("--q", type=int, required=True)
     pl.set_defaults(fn=cmd_lfactor)

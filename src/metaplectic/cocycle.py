@@ -6,8 +6,8 @@ rule, the block-diagonal rule (with Kubota's formula inside 2x2 blocks of
 determinant one) and the unipotent rule. Anything else raises
 UnsupportedDomainError rather than extrapolating. On a standard parabolic
 Levi the block rule is the block cocycle: per-block cocycles times Hilbert
-cross-terms of determinants. Central scalars are tori with one repeated
-entry, so the torus rule gives their (a, b)^(r(r-1)/2) as well.
+cross-terms of determinants. A central scalar a * I is the torus with one
+repeated entry, so the torus rule gives the central (a, b)^(r(r-1)/2) too.
 
 Cocycle formulas are pure Hilbert-symbol algebra and work at every place of
 Q including 2; the character layer (which needs a Weil index) is restricted
@@ -124,44 +124,16 @@ def gl2(a, b, c, d) -> MatrixBlock:
     return MatrixBlock(((a, b), (c, d)))
 
 
-class Scalar(Value):
-    """A central scalar a * identity of the given size."""
-
-    __slots__ = ("a", "size")
-
-    def __init__(self, a, size: int):
-        a = as_fraction(a)
-        if a == 0:
-            raise DomainError("central scalar must be nonzero")
-        if size < 1:
-            raise DomainError("scalar size must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "size", size)
-
-    def det(self) -> Fraction:
-        return self.a**self.size
-
-    def is_identity(self) -> bool:
-        return self.a == 1
-
-    def compose(self, other):
-        if not isinstance(other, Scalar) or other.size != self.size:
-            raise UnsupportedDomainError("scalar composition needs equal sizes")
-        return Scalar(self.a * other.a, self.size)
-
-    def __repr__(self):
-        return f"Scalar({shown(self.a)}, size={self.size})"
-
-
 # structured elements ----------------------------------------------------
 
 
 class StructuredElement(Value):
     """An element of GL_r drawn from the classes the cocycle knows.
 
-    Either block-diagonal (an ordered tuple of Torus / MatrixBlock / Scalar
-    payloads whose sizes sum to r) or upper unipotent (a full matrix with
-    unit diagonal). Immutable.
+    Either block-diagonal (an ordered tuple of Torus / MatrixBlock payloads
+    whose sizes sum to r) or upper unipotent (a full matrix with unit
+    diagonal). A central scalar a * I is the torus with r entries a, so each
+    element has one representation. Immutable.
     """
 
     __slots__ = ("r", "blocks", "matrix")
@@ -174,7 +146,7 @@ class StructuredElement(Value):
             if not blocks:
                 raise DomainError("empty block list")
             for b in blocks:
-                if not isinstance(b, (Torus, MatrixBlock, Scalar)):
+                if not isinstance(b, (Torus, MatrixBlock)):
                     raise DomainError(f"unknown payload {b!r}")
             r = sum(b.size for b in blocks)
         else:
@@ -203,7 +175,12 @@ class StructuredElement(Value):
 
     @classmethod
     def central(cls, a, r: int) -> "StructuredElement":
-        return cls(blocks=(Scalar(a, r),))
+        """The scalar a * identity in GL_r, as a torus with one repeated entry."""
+        if as_fraction(a) == 0:
+            raise DomainError("central scalar must be nonzero")
+        if r < 1:
+            raise DomainError("scalar size must be positive")
+        return cls.torus((a,) * r)
 
     @classmethod
     def block_diagonal(cls, payloads) -> "StructuredElement":
@@ -224,14 +201,6 @@ class StructuredElement(Value):
         return self.matrix is not None
 
     @property
-    def is_central(self) -> bool:
-        return (
-            self.blocks is not None
-            and len(self.blocks) == 1
-            and isinstance(self.blocks[0], Scalar)
-        )
-
-    @property
     def is_torus(self) -> bool:
         return self.blocks is not None and all(
             isinstance(b, Torus) for b in self.blocks
@@ -239,10 +208,10 @@ class StructuredElement(Value):
 
     @property
     def torus_entries(self) -> tuple:
-        """Diagonal entries, for torus and central elements."""
-        if not (self.is_torus or self.is_central):
+        """Diagonal entries, for torus elements."""
+        if not self.is_torus:
             raise UnsupportedDomainError("element has no diagonal form")
-        return tuple(x for b in self.blocks for x in _diagonal(b))
+        return tuple(x for b in self.blocks for x in b.entries)
 
     def is_identity(self) -> bool:
         if self.is_unipotent:
@@ -270,7 +239,7 @@ class StructuredElement(Value):
     def in_even_torus(self, place: Place) -> bool:
         """Torus of even rank whose consecutive entry ratios t1/t2, t3/t4, ...
         are local squares."""
-        if not (self.is_torus or self.is_central):
+        if not self.is_torus:
             return False
         t = self.torus_entries
         if len(t) % 2:
@@ -301,22 +270,15 @@ class StructuredElement(Value):
             return StructuredElement(matrix=rows)
         if self.is_unipotent or other.is_unipotent:
             raise UnsupportedDomainError("mixed unipotent product not supported")
-        # a central scalar broadcasts over a torus
-        a, b = self, other
-        if a.is_central and b.is_torus:
-            a = StructuredElement.torus(a.torus_entries)
-        if b.is_central and a.is_torus:
-            b = StructuredElement.torus(b.torus_entries)
-        if a.is_torus and b.is_torus and a.r == b.r:
+        if self.is_torus and other.is_torus and self.r == other.r:
             return StructuredElement.torus(
-                tuple(x * y for x, y in zip(a.torus_entries, b.torus_entries))
+                tuple(x * y for x, y in zip(self.torus_entries, other.torus_entries))
             )
-        if a.block_structure() != b.block_structure():
-            raise UnsupportedDomainError(
-                f"block structures differ: {a.block_structure()} vs {b.block_structure()}"
-            )
+        gs, hs = self.block_structure(), other.block_structure()
+        if gs != hs:
+            raise UnsupportedDomainError(f"block structures differ: {gs} vs {hs}")
         return StructuredElement.block_diagonal(
-            tuple(p.compose(q) for p, q in zip(a.blocks, b.blocks))
+            tuple(p.compose(q) for p, q in zip(self.blocks, other.blocks))
         )
 
     def __repr__(self):
@@ -349,12 +311,10 @@ class CoverElement(Value):
 
 
 def _diagonal(payload):
-    """The diagonal entries of a Torus, a Scalar or a diagonal MatrixBlock;
-    None for a MatrixBlock with an off-diagonal entry."""
+    """The diagonal entries of a Torus or a diagonal MatrixBlock; None for a
+    MatrixBlock with an off-diagonal entry."""
     if isinstance(payload, Torus):
         return payload.entries
-    if isinstance(payload, Scalar):
-        return (payload.a,) * payload.size
     if payload.is_diagonal():
         return (payload.rows[0][0], payload.rows[1][1])
     return None
@@ -401,19 +361,19 @@ def sigma_eval(g: StructuredElement, h: StructuredElement, place: Place) -> Sign
     """The cover cocycle sigma_r(g, h) on the supported element classes.
 
     Rules, in dispatch order: an identity or unipotent upper-triangular
-    argument on either side gives +1; torus and central pairs give the
-    product of (t_i, h_j) over i < j, which for a * I and b * I is
+    argument on either side gives +1; torus pairs give the product of
+    (t_i, h_j) over i < j, which for the central a * I and b * I is
     (a, b)^(r(r-1)/2); block-diagonal pairs on one partition give the
     per-block cocycles times (det g_i, det h_j) over block slots i < j,
-    where a block is a torus, a central scalar or a 2x2 block (the torus
-    rule on diagonal entries, Kubota's formula for two determinant-one
-    blocks). Everything else raises UnsupportedDomainError.
+    where a block is a torus or a 2x2 block (the torus rule on diagonal
+    entries, Kubota's formula for two determinant-one blocks). Everything
+    else raises UnsupportedDomainError.
     """
     if g.r != h.r:
         raise UnsupportedDomainError("rank mismatch")
     if g.is_unipotent or h.is_unipotent or g.is_identity() or h.is_identity():
         return 1
-    if (g.is_torus or g.is_central) and (h.is_torus or h.is_central):
+    if g.is_torus and h.is_torus:
         return _torus_rule(g.torus_entries, h.torus_entries, place)
     # partitions must agree; payload classes may differ slot by slot, and
     # _payload_sigma decides per pair whether a formula exists

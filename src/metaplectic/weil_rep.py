@@ -524,7 +524,7 @@ def central_word_check(model: FiniteWeilModel, a, chi) -> bool:
 # twisting ------------------------------------------------------------------
 
 
-def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples=None) -> bool:
+def twist_intertwiner_check(a, model: FiniteWeilModel) -> bool:
     """Conjugation by diag(1, a) carries the psi-model to the psi_a-model.
 
     Verified at the word level, generator by generator, for unit a:
@@ -544,17 +544,14 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
         raise PreconditionError(
             "twists are supported for unit scales only on a fixed carrier"
         )
-    if t_samples is None:
-        # include the uniformizer when the window permits, so the cover
-        # sign on torus generators is exercised non-trivially
-        t_samples = (2, -1) + ((p,) if model.N >= 2 else ())
-    if b_samples is None:
-        b_samples = (1, 2, -1) + ((p,) if model.N >= 2 else ())
+    # include the uniformizer when the window permits, so the cover sign on
+    # torus generators is exercised non-trivially
+    deep = (p,) if model.N >= 2 else ()
     twisted = FiniteWeilModel(p, model.N, model.psi.twist(a))
     ok = True
     # every pair is validated even after a mismatch; only comparisons stop
     # n(b) -> n(a b), exactly
-    for b in b_samples:
+    for b in (1, 2, -1) + deep:
         lhs = _letter(model, ("n", as_fraction(b) * a))
         rhs = _letter(twisted, ("n", b))
         ok = ok and _actions_agree(model, lhs, rhs)
@@ -563,7 +560,7 @@ def twist_intertwiner_check(a, model: FiniteWeilModel, t_samples=None, b_samples
     rhs = _letter(twisted, ("w",))
     ok = ok and _actions_agree(model, lhs, rhs)
     # t(c) -> (a, c) t(c)
-    for c in t_samples:
+    for c in (2, -1) + deep:
         c = as_fraction(c)
         sign = hilbert(a, c, model.place)
         lhs = _chain(_letter(model, ("t", c)), _Monomial(sign, np.arange(model.size)))

@@ -4,6 +4,7 @@ determinism, and the Satake ingestion diagnostics."""
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +16,6 @@ import pytest
 import metaplectic
 from metaplectic import checks, local_arith, symsq, weil_rep
 from metaplectic.cli import (
-    Case,
     ingest_satake,
     main,
     parse_element,
@@ -114,14 +114,25 @@ def test_parse_element():
         parse_element("blocks[]")
 
 
+def test_central_rank_is_capped(capsys):
+    # a rank past what one argv can list as torus entries is a data error,
+    # not a MemoryError from building its diagonal
+    huge = "central({},1000000000000)"
+    assert main(["cocycle", huge.format(2), huge.format(3), "--place", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "65536" in err
+    assert "Traceback" not in err
+    assert parse_element("central(2,65536)").r == 65536
+
+
 # report plumbing -----------------------------------------------------------
 
 
 def test_run_cases_statuses():
     cases = [
-        Case("a/good", "x", lambda: (1, 1)),
-        Case("a/bad", "y", lambda: (1, 2)),
-        Case("b/boom", "z", lambda: (_ for _ in ()).throw(DataError("nope"))),
+        ("a/good", "x", lambda: (1, 1)),
+        ("a/bad", "y", lambda: (1, 2)),
+        ("b/boom", "z", lambda: (_ for _ in ()).throw(DataError("nope"))),
     ]
     rep = run_cases("demo", cases)
     assert rep["summary"] == {
@@ -145,7 +156,7 @@ def test_unexpected_case_exception_is_an_error_row(monkeypatch, capsys):
     def boom():
         raise KeyError(17)
 
-    rep = run_cases("demo", [Case("a/boom", "x", boom), Case("a/good", "y", lambda: (1, 1))])
+    rep = run_cases("demo", [("a/boom", "x", boom), ("a/good", "y", lambda: (1, 1))])
     row = rep["cases"][0]
     assert (row["status"], row["got"]) == ("error", "KeyError: 17")
     assert rep["summary"]["pass"] == 1  # the report went on past the error
@@ -212,6 +223,14 @@ def test_zeta_command(capsys):
     out = capsys.readouterr().out
     assert "toral series coefficients: [1, 3, 5, 7, 9, 11, 13]" in out
     assert "identity to X^6: true" in out
+
+
+@pytest.mark.parametrize("command", ["zeta", "lfactor"])
+def test_alphas_with_a_leading_minus_needs_the_equals_form(command, capsys):
+    # argparse reads a separate "-7,1/2,1" as an option, so the help and the
+    # README document --alphas=-7,1/2,1
+    assert main([command, "--r", "3", "--alphas=-7,1/2,1", "--q", "7"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_zeta_prints_the_toral_sum_it_checked(capsys, monkeypatch):
@@ -715,3 +734,26 @@ def test_boundary_argvs_exit_cleanly(tmp_path, capsys):
         codes.append(code)
     # the draw reaches both answers and refusals
     assert codes.count(0) > 20 and codes.count(2) > 20
+
+
+# the README's CLI examples ------------------------------------------------------
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_cli_lines():
+    text = README.read_text().split("\n## CLI\n", 1)[1]
+    block = text.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("metaplectic ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(json.dumps([{"p": p, "alphas": [1]} for p in (2, 3, 5, 7)]))
+    lines = _readme_cli_lines()
+    assert any("central(" in line for line in lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
+        assert capsys.readouterr().err == "", line

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from metaplectic.cocycle import (
     CoverElement,
     RootScaled,
-    Scalar,
     StructuredElement,
     Torus,
     UnramifiedCharacter,
@@ -363,7 +362,8 @@ def test_tau_square_det_cross_terms_vanish():
 
 
 # Block-diagonal pairs on one random partition of r <= 6: each slot holds a
-# Torus, a Scalar or (in a slot of size 2) a diagonal gl2, chosen per side.
+# Torus, a repeated-entry Torus or (in a slot of size 2) a diagonal gl2,
+# chosen per side.
 # The block rule on them must be the torus rule on their diagonals, since the
 # cross-terms (det g_i, det h_j) expand bilinearly into the (t_k, h_l).
 
@@ -378,7 +378,7 @@ def _diagonal_payload(draw, size):
     if kind == "torus":
         return Torus(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
     if kind == "scalar":
-        return Scalar(draw(_RATIONALS), size)
+        return Torus((draw(_RATIONALS),) * size)
     return gl2(draw(_RATIONALS), 0, 0, draw(_RATIONALS))
 
 
@@ -400,8 +400,6 @@ def _flattened(e):
     for b in e.blocks:
         if isinstance(b, Torus):
             entries.extend(b.entries)
-        elif isinstance(b, Scalar):
-            entries.extend([b.a] * b.size)
         else:
             entries.extend([b.rows[0][0], b.rows[1][1]])
     return StructuredElement.torus(entries)
@@ -756,7 +754,7 @@ def test_structured_element_validation():
     with pytest.raises(DomainError):
         StructuredElement.unipotent_upper([[2, 0], [0, 1]])
     with pytest.raises(DomainError):
-        Scalar(0, 3)
+        StructuredElement.central(0, 3)
     with pytest.raises(DomainError):
         sl2(2, 0, 0, 1)
     with pytest.raises(DomainError):
@@ -777,7 +775,23 @@ def test_central_broadcasts_over_torus():
 
 
 def test_dets_and_structure():
-    g = StructuredElement.block_diagonal([Torus((2, 3)), sl2(1, 5, 0, 1), Scalar(2, 2)])
+    g = StructuredElement.block_diagonal([Torus((2, 3)), sl2(1, 5, 0, 1), Torus((2, 2))])
     assert g.r == 6
     assert g.det() == 24
-    assert g.block_structure() == (("Torus", 2), ("MatrixBlock", 2), ("Scalar", 2))
+    assert g.block_structure() == (("Torus", 2), ("MatrixBlock", 2), ("Torus", 2))
+
+
+def test_central_is_the_torus_with_one_repeated_entry():
+    for a, r in [(2, 3), (Fraction(-1, 3), 1), (7, 4)]:
+        z = StructuredElement.central(a, r)
+        assert z == torus(*[a] * r) and hash(z) == hash(torus(*[a] * r))
+    # so a central block composes slot by slot with a torus block
+    z = StructuredElement.central(2, 2).blocks[0]
+    g = StructuredElement.block_diagonal([z, sl2(1, 5, 0, 1)])
+    h = StructuredElement.block_diagonal([Torus((1, 3)), sl2(1, 1, 0, 1)])
+    assert g.compose(h) == StructuredElement.block_diagonal([Torus((2, 6)), sl2(1, 6, 0, 1)])
+    # a zero scalar and an empty rank are named errors, not a torus message
+    with pytest.raises(DomainError, match="central scalar must be nonzero"):
+        StructuredElement.central(0, 3)
+    with pytest.raises(DomainError, match="scalar size must be positive"):
+        StructuredElement.central(2, 0)

@@ -16,7 +16,6 @@ FACTORIES = {
     "AdditiveCharacter": lambda: weil_index.AdditiveCharacter(Place.finite(5), Fraction(2, 3)),
     "Torus": lambda: cocycle.Torus((2, Fraction(-1, 3))),
     "MatrixBlock": lambda: cocycle.gl2(1, 2, 3, 7),
-    "Scalar": lambda: cocycle.Scalar(2, 3),
     "StructuredElement": lambda: cocycle.StructuredElement.torus(2, 3),
     "CoverElement": lambda: cocycle.CoverElement(cocycle.StructuredElement.torus(2, 3), -1),
     "RootScaled": lambda: cocycle.RootScaled(Fraction(-3, 2), weil_index.EighthRoot(1)),
