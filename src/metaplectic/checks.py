@@ -12,7 +12,7 @@ only the modules it runs. This module must not import `cli`, which runs as
 import random
 from fractions import Fraction
 
-from .errors import PreconditionError, UnsupportedDomainError
+from .errors import PreconditionError
 from .local_arith import Place, least_nonresidue
 
 
@@ -443,18 +443,15 @@ def weilrep_suite(p: int = 3, big_n: int = 1):
         _actions_agree,
         _Monomial,
         build_model,
+        check_model_size,
         twist_intertwiner_check,
         whittaker_functional_exists,
         word_action,
     )
 
     # Each multiplier check streams O(M^2) work, so past the dense cap the
-    # suite would run for minutes; an invalid p or N keeps build_model's error.
-    if big_n >= 1 and p ** (2 * big_n) > _DENSE_SIZE_CAP:
-        raise UnsupportedDomainError(
-            f"suite weilrep at p={p}, N={big_n} has M = {p ** (2 * big_n)} carrier"
-            f" points, above the cap of {_DENSE_SIZE_CAP}"
-        )
+    # suite would run for minutes.
+    check_model_size(p, big_n, _DENSE_SIZE_CAP)
     model = build_model(p, big_n)
     nonres = least_nonresidue(p)
     chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(1))

@@ -494,9 +494,12 @@ def cmd_ingest(args) -> int:
 
 # argument plumbing ------------------------------------------------------------------
 
-_ALPHAS_HELP = (
-    "comma-separated rationals; a list that starts with a minus sign needs the"
-    " = form, --alphas=-7,1/2,1, since argparse reads -7,... as an option")
+# every option that takes a rational or a list of them
+_RATIONAL_HELP = (
+    "; a value that starts with a minus sign needs the = form, as in -a=-1/2 or"
+    " --alphas=-7,1/2,1, since argparse reads -1/2 or -7,... as an option")
+_ALPHAS_HELP = "comma-separated rationals" + _RATIONAL_HELP
+_CHI_HELP = "a rational or ramified, default 1" + _RATIONAL_HELP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_suite)
 
     ph = sub.add_parser("hilbert", help="one Hilbert symbol")
-    ph.add_argument("-a", required=True)
-    ph.add_argument("-b", required=True)
+    ph.add_argument("-a", required=True, help="a rational" + _RATIONAL_HELP)
+    ph.add_argument("-b", required=True, help="a rational" + _RATIONAL_HELP)
     ph.add_argument("--place", required=True, help="inf or a prime")
     ph.set_defaults(fn=cmd_hilbert)
 
@@ -530,19 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("weil-gamma", help="Weil index of a quadratic character")
     pg.add_argument("--place", required=True)
-    pg.add_argument("--scale", default="1")
+    pg.add_argument("--scale", default="1", help="a rational, default 1" + _RATIONAL_HELP)
     pg.set_defaults(fn=cmd_weil_gamma)
 
     pm = sub.add_parser("weil-mu", help="normalized Weil index ratio")
-    pm.add_argument("-a", required=True)
+    pm.add_argument("-a", required=True, help="a rational" + _RATIONAL_HELP)
     pm.add_argument("--place", required=True)
-    pm.add_argument("--scale", default="1")
+    pm.add_argument("--scale", default="1", help="a rational, default 1" + _RATIONAL_HELP)
     pm.set_defaults(fn=cmd_weil_mu)
 
     pz = sub.add_parser("zeta", help="unramified toral zeta series and identity check")
     pz.add_argument("--r", type=int, required=True)
     pz.add_argument("--alphas", required=True, help=_ALPHAS_HELP)
-    pz.add_argument("--chi", default="1")
+    pz.add_argument("--chi", default="1", help=_CHI_HELP)
     pz.add_argument("--q", type=int, required=True)
     pz.add_argument("--deg", type=_nonnegative_int, default=10, help=(
         "truncation degree, default 10; the cost grows faster than the degree:"
@@ -552,13 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lfactor", help="local factors: symmetric, exterior, product")
     pl.add_argument("--r", type=int, required=True)
     pl.add_argument("--alphas", required=True, help=_ALPHAS_HELP)
-    pl.add_argument("--chi", default="1")
+    pl.add_argument("--chi", default="1", help=_CHI_HELP)
     pl.add_argument("--q", type=int, required=True)
     pl.set_defaults(fn=cmd_lfactor)
 
     pe = sub.add_parser("euler", help="partial Euler product from a Satake table")
     pe.add_argument("--table", required=True, help="JSON table path")
-    pe.add_argument("--s", required=True)
+    pe.add_argument("--s", required=True, help="a rational" + _RATIONAL_HELP)
     pe.set_defaults(fn=cmd_euler)
 
     pp = sub.add_parser("poles", help="normalizer and L-function pole bookkeeping")

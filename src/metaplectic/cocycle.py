@@ -1,5 +1,5 @@
 """Two-cocycles on the double cover of GL_r, over the structured subgroups
-where closed formulas exist, plus the genuine characters built from them.
+where closed formulas exist.
 
 The cocycle sigma_r is a partial evaluator by design: it knows the torus
 rule, the block-diagonal rule (with Kubota's formula inside 2x2 blocks of
@@ -9,9 +9,9 @@ Levi the block rule is the block cocycle: per-block cocycles times Hilbert
 cross-terms of determinants. A central scalar a * I is the torus with one
 repeated entry, so the torus rule gives the central (a, b)^(r(r-1)/2) too.
 
-Cocycle formulas are pure Hilbert-symbol algebra and work at every place of
-Q including 2; the character layer (which needs a Weil index) is restricted
-to odd finite places and the real place by its AdditiveCharacter argument.
+The formulas are pure Hilbert-symbol algebra and work at every place of Q,
+including 2. UnramifiedCharacter, the character chi of the twist, lives here
+too: a value at the uniformizer, or a sign character at the real place.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .local_arith import (
     square_class,
     symbol_primes,
 )
-from .weil_index import AdditiveCharacter, EighthRoot, mu
 
 Sign = int
 
@@ -248,12 +247,6 @@ class StructuredElement(Value):
             same_square_class(t[k], t[k + 1], place) for k in range(0, len(t), 2)
         )
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based matrix entry; unipotent elements only."""
-        if not self.is_unipotent:
-            raise UnsupportedDomainError("entry access needs a matrix element")
-        return self.matrix[i - 1][j - 1]
-
     def compose(self, other: "StructuredElement") -> "StructuredElement":
         """Product g * other, defined when both stay in one supported class."""
         if self.is_unipotent and other.is_unipotent:
@@ -285,26 +278,6 @@ class StructuredElement(Value):
         if self.is_unipotent:
             return f"StructuredElement(unipotent r={self.r})"
         return f"StructuredElement({list(self.blocks)})"
-
-
-class CoverElement(Value):
-    """A pair (g, xi) in the double cover; multiplication goes through
-    sigma_eval explicitly, never implicitly."""
-
-    __slots__ = ("element", "xi")
-
-    def __init__(self, element: StructuredElement, xi: Sign = 1):
-        if xi not in (1, -1):
-            raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "xi", xi)
-
-    def multiply(self, other: "CoverElement", place: Place) -> "CoverElement":
-        sign = sigma_eval(self.element, other.element, place)
-        return CoverElement(self.element.compose(other.element), sign * self.xi * other.xi)
-
-    def __repr__(self):
-        return f"CoverElement({self.element!r}, xi={self.xi})"
 
 
 # the cocycle ------------------------------------------------------------
@@ -475,53 +448,7 @@ def block_lemmas_check(
     return commutes and homomorphic
 
 
-# value type for genuine characters ---------------------------------------
-
-
-class RootScaled(Value):
-    """A positive rational times an eighth root of unity; exact arithmetic.
-
-    Negative rational coefficients fold their sign into the root, so the
-    representation is canonical and equality is decidable.
-    """
-
-    __slots__ = ("coeff", "root")
-
-    def __init__(self, coeff, root: EighthRoot = EighthRoot(0)):
-        coeff = as_fraction(coeff)
-        if coeff == 0:
-            raise DomainError("RootScaled coefficient must be nonzero")
-        if coeff < 0:
-            coeff, root = -coeff, root * EighthRoot(4)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "root", root)
-
-    @classmethod
-    def one(cls) -> "RootScaled":
-        return cls(1)
-
-    def __mul__(self, other):
-        if isinstance(other, RootScaled):
-            return RootScaled(self.coeff * other.coeff, self.root * other.root)
-        if isinstance(other, EighthRoot):
-            return RootScaled(self.coeff, self.root * other)
-        if isinstance(other, (int, Fraction)):
-            return RootScaled(self.coeff * other, self.root)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RootScaled":
-        return RootScaled(1 / self.coeff, self.root.inverse())
-
-    def __pow__(self, n: int) -> "RootScaled":
-        return RootScaled(self.coeff**n, self.root**n)
-
-    def value(self) -> complex:
-        return float(self.coeff) * self.root.value()
-
-    def __repr__(self):
-        return f"{self.coeff} * {self.root!r}"
+# the character of the twist ---------------------------------------------
 
 
 class UnramifiedCharacter(Frozen):
@@ -554,135 +481,3 @@ class UnramifiedCharacter(Frozen):
         if self.place.is_real:
             return f"UnramifiedCharacter(real, sign^{self.sign_exponent})"
         return f"UnramifiedCharacter({self.place}, at_p={self.at_uniformizer})"
-
-
-# genuine characters -------------------------------------------------------
-
-
-def character_eval(
-    kind: str,
-    t: StructuredElement,
-    xi: Sign,
-    chi: UnramifiedCharacter,
-    psi: AdditiveCharacter,
-    a=None,
-) -> RootScaled:
-    """Genuine character of the even-square subtorus cover.
-
-    kind "standard": xi * chi(det t) * prod over odd positions of mu(t_i).
-    kind "twisted": xi * chi(det t) * mu_{psi_a}(t_1)^(-1) * prod over odd
-    positions i >= 3 of mu(t_i)^(-1); needs the twist parameter a.
-    """
-    place = psi.place
-    if not t.in_even_torus(place):
-        raise PreconditionError("argument is not in the even square subtorus")
-    if xi not in (1, -1):
-        raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
-    entries = t.torus_entries
-    out = RootScaled(chi.value(t.det())) * xi
-    if kind == "standard":
-        for k in range(0, len(entries), 2):
-            out = out * mu(entries[k], psi)
-    elif kind == "twisted":
-        if a is None:
-            raise DomainError("twisted kind needs the twist parameter")
-        out = out * mu(entries[0], psi.twist(a)).inverse()
-        for k in range(2, len(entries), 2):
-            out = out * mu(entries[k], psi).inverse()
-    else:
-        raise DomainError(f"unknown character kind {kind!r}")
-    return out
-
-
-def central_char_eval(
-    kind: str,
-    a,
-    xi: Sign,
-    q: int,
-    chi_value,
-    psi: AdditiveCharacter,
-    eta_value=None,
-) -> RootScaled:
-    """Central character values on scalar matrices in the cover.
-
-    Kinds (z = a * identity, q the block count):
-      "odd":       xi * chi(a)^(2q+1) * mu(a)^q        (rank 2q+1)
-      "even":      xi * chi(a)^q      * mu(a)^q        (rank 2q)
-      "pair_even": xi * chi(a)^(2q) * eta(a) * mu(a)^(-q)
-      "pair_odd":  xi * chi(a)^q    * eta(a) * mu(a)^(-q)
-    chi_value and eta_value are the already-evaluated character values at a.
-    """
-    if xi not in (1, -1):
-        raise DomainError(f"cover sign must be +-1, got {shown(xi)}")
-    if q < 1:
-        raise DomainError("block count must be positive")
-    a = as_fraction(a)
-    m = mu(a, psi)
-    chi_value = as_fraction(chi_value)
-    if kind == "odd":
-        out = RootScaled(chi_value ** (2 * q + 1), m**q)
-    elif kind == "even":
-        out = RootScaled(chi_value**q, m**q)
-    elif kind in ("pair_even", "pair_odd"):
-        if eta_value is None:
-            raise DomainError(f"kind {kind!r} needs eta_value")
-        chi_pow = chi_value ** (2 * q) if kind == "pair_even" else chi_value**q
-        out = RootScaled(chi_pow * as_fraction(eta_value), m**-q)
-    else:
-        raise DomainError(f"unknown central character kind {kind!r}")
-    return out * xi
-
-
-def nilpotent_char_phase(
-    kind: str,
-    n: StructuredElement,
-    psi: AdditiveCharacter,
-    a=1,
-    coefficients=None,
-) -> Fraction:
-    """Exact phase (in [0,1)) of an additive character of the unipotent
-    upper-triangular group.
-
-    kind "alternating": psi applied to x_{r-1,r} + x_{r-3,r-2} + ...
-    kind "whittaker":   psi applied to a*x_{1,2} + sum_{i>=2} x_{i,i+1}
-    kind "tuple":       psi applied to sum_i c_i * x_{2i-1,2i}
-    """
-    if not n.is_unipotent:
-        raise PreconditionError("nilpotent character needs a unipotent element")
-    r = n.r
-    if kind == "alternating":
-        arg = Fraction(0)
-        i = r - 1
-        while i >= 1:
-            arg += n.entry(i, i + 1)
-            i -= 2
-    elif kind == "whittaker":
-        arg = as_fraction(a) * n.entry(1, 2) if r >= 2 else Fraction(0)
-        for i in range(2, r):
-            arg += n.entry(i, i + 1)
-    elif kind == "tuple":
-        if coefficients is None:
-            raise DomainError("tuple kind needs coefficients")
-        cs = [as_fraction(c) for c in coefficients]
-        if 2 * len(cs) > r:
-            raise DomainError("too many coefficients for the rank")
-        arg = Fraction(0)
-        for idx, c in enumerate(cs, start=1):
-            arg += c * n.entry(2 * idx - 1, 2 * idx)
-    else:
-        raise DomainError(f"unknown nilpotent character kind {kind!r}")
-    return psi.phase(arg)
-
-
-def nilpotent_char_eval(
-    kind: str,
-    n: StructuredElement,
-    psi: AdditiveCharacter,
-    a=1,
-    coefficients=None,
-) -> complex:
-    import cmath
-    import math
-
-    phase = nilpotent_char_phase(kind, n, psi, a=a, coefficients=coefficients)
-    return cmath.exp(2j * math.pi * float(phase))

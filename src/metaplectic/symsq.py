@@ -708,12 +708,22 @@ def euler_product(sats, s) -> complex:
     """The partial product over the listed local data of the inverse
     symmetric-square polynomial at q^{-s}. Raises ConvergenceDomainError
     if any local polynomial's largest coefficient scale reaches the unit
-    circle (abscissa check)."""
+    circle (abscissa check), and DomainError if s or q^{-s} is past the
+    float range."""
+    try:
+        minus_s = complex(-s)
+    except OverflowError:
+        raise DomainError(f"s = {shown(s)} is past the float range") from None
     out = complex(1)
     for sat in sats:
-        x = complex(sat.q) ** complex(-s)
         if sat.chi_val == RAMIFIED:
             continue
+        try:
+            x = complex(sat.q) ** minus_s
+        except OverflowError:
+            raise DomainError(
+                f"q^(-s) at q={sat.q}, s={shown(s)} is past the float range"
+            ) from None
         scale = max(
             abs(complex(sat.chi_val * a * b))
             for a in sat.alphas

@@ -68,14 +68,6 @@ class EighthRoot(Value):
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * self.exponent / 4)
 
-    def is_sign(self) -> bool:
-        return self.exponent % 4 == 0
-
-    def as_sign(self) -> int:
-        if not self.is_sign():
-            raise DomainError(f"{self} is not +-1")
-        return 1 if self.exponent == 0 else -1
-
     _NAMES = {0: "1", 2: "i", 4: "-1", 6: "-i"}
 
     def __repr__(self):

@@ -142,18 +142,28 @@ class FiniteWeilModel(Frozen):
         return f"FiniteWeilModel(p={self.p}, N={self.N}, scale={self.psi.scale})"
 
 
-def build_model(p: int, N: int, scale=1) -> FiniteWeilModel:
-    """Model constructor; odd prime p, window depth N >= 1, unit scale."""
+def check_model_size(p: int, N: int, cap: int):
+    """build_model's errors for p and N, then a refusal of a model with more
+    than ``cap`` carrier points M = p^(2N)."""
     if not is_prime(p) or p == 2:
         raise UnsupportedDomainError(f"need an odd prime, got {p}")
     if N < 1:
         raise DomainError("window depth must be at least 1")
     # p >= 3 gives M >= 2^(2N), so a deep window is refused before p^(2N) is formed
-    if 2 * N >= _MODEL_SIZE_CAP.bit_length() or p ** (2 * N) > _MODEL_SIZE_CAP:
-        raise UnsupportedDomainError(
-            f"model ({p},{N}) has M = {p}^{2 * N} carrier points,"
-            f" above the cap of {_MODEL_SIZE_CAP}"
-        )
+    if 2 * N >= cap.bit_length():
+        size = f"{p}^{2 * N}"
+    elif p ** (2 * N) > cap:
+        size = f"{p ** (2 * N)} = {p}^{2 * N}"
+    else:
+        return
+    raise UnsupportedDomainError(
+        f"model ({p},{N}) has M = {size} carrier points, above the cap of {cap}"
+    )
+
+
+def build_model(p: int, N: int, scale=1) -> FiniteWeilModel:
+    """Model constructor; odd prime p, window depth N >= 1, unit scale."""
+    check_model_size(p, N, _MODEL_SIZE_CAP)
     scale = as_fraction(scale)
     place = Place.finite(p)
     v, _ = valuation_and_unit(scale, p)

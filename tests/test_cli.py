@@ -1,6 +1,7 @@
 """CLI tests: expression parsing, report plumbing, exit codes, suite
 determinism, and the Satake ingestion diagnostics."""
 
+import argparse
 import json
 import os
 import random
@@ -16,6 +17,7 @@ import pytest
 import metaplectic
 from metaplectic import checks, local_arith, symsq, weil_rep
 from metaplectic.cli import (
+    build_parser,
     ingest_satake,
     main,
     parse_element,
@@ -414,8 +416,22 @@ def test_suite_all_refuses_a_large_model_before_any_suite_runs(tmp_path, capsys)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name", ["weilrep", "all"])
+def test_weilrep_suite_refuses_a_deep_window_before_forming_m(name, capsys):
+    # 3^200000000 has about 95 million digits: forming it would take minutes
+    started = time.perf_counter()
+    assert main(["suite", name, "--N", "100000000"]) == 2
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) <= 200
+    assert "M = 3^200000000 carrier points" in lines[0] and "cap of 2500" in lines[0]
+
+
 @pytest.mark.parametrize(
-    "p, big_n, message", [("9", "1", "need an odd prime"), ("3", "0", "window depth")]
+    "p, big_n, message", [("9", "1", "need an odd prime"), ("3", "0", "window depth"),
+                          ("1", "100000000", "need an odd prime, got 1")]
 )
 def test_weilrep_suite_keeps_the_model_errors(p, big_n, message, capsys):
     assert main(["suite", "all", "--p", p, "--N", big_n]) == 2
@@ -495,6 +511,44 @@ def test_euler_command(tmp_path, capsys):
     val = float(capsys.readouterr().out.strip())
     partial = (4 / 3) * (9 / 8) * (25 / 24) * (49 / 48)
     assert abs(val - partial) < 1e-6
+
+
+@pytest.mark.parametrize("s", ["1e400", "-1e400", "-1000"])
+def test_euler_past_the_float_range_is_a_domain_error(s, tmp_path, capsys):
+    path = _write(tmp_path, "t.json", json.dumps([{"p": 3, "alphas": ["1/2", 2]}]))
+    assert main(["euler", "--table", path, f"--s={s}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "past the float range" in err
+
+
+# each option that takes a rational, with a value that starts with a minus sign
+EQUALS_FORM = [
+    ["hilbert", "-a=-1/2", "-b", "3", "--place", "3"],
+    ["hilbert", "-a", "3", "-b=-2/5", "--place", "3"],
+    ["weil-mu", "-a=-2/3", "--place", "5"],
+    ["weil-gamma", "--place", "3", "--scale=-1/3"],
+    ["weil-mu", "-a", "2", "--place", "5", "--scale=-1/3"],
+    ["lfactor", "--r", "2", "--alphas=-7,1/2", "--chi=-1/2", "--q", "7"],
+    ["zeta", "--r", "2", "--alphas", "1,1", "--chi=-1/2", "--q", "7", "--deg", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", EQUALS_FORM, ids=[" ".join(a) for a in EQUALS_FORM])
+def test_a_negative_rational_takes_the_equals_form(argv):
+    assert main(argv) == 0
+
+
+def test_every_rational_option_names_the_equals_form():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {"hilbert": ("-a", "-b"), "weil-gamma": ("--scale",), "weil-mu": ("-a", "--scale"),
+               "lfactor": ("--alphas", "--chi"), "zeta": ("--alphas", "--chi"), "euler": ("--s",)}
+    for command, flags in options.items():
+        helps = {flag: a.help for a in commands[command]._actions for flag in a.option_strings}
+        for flag in flags:
+            assert "needs the = form, as in -a=-1/2" in helps[flag], (command, flag)
 
 
 # pinned behaviour and the fixes past the old oracle cap --------------------------

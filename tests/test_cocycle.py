@@ -7,20 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplectic.cocycle import (
-    CoverElement,
-    RootScaled,
     StructuredElement,
     Torus,
     UnramifiedCharacter,
     block_lemmas_check,
-    central_char_eval,
-    character_eval,
     cocycle_identity_check,
     gl2,
     global_sigma_product,
     kubota_sl2,
-    nilpotent_char_eval,
-    nilpotent_char_phase,
     sigma_eval,
     sigma_torus_even_reduced,
     sl2,
@@ -30,8 +24,7 @@ from metaplectic.errors import (
     PreconditionError,
     UnsupportedDomainError,
 )
-from metaplectic.local_arith import Place, hilbert, legendre
-from metaplectic.weil_index import AdditiveCharacter, EighthRoot, mu
+from metaplectic.local_arith import Place, hilbert
 
 REAL = Place.real()
 W = sl2(0, 1, -1, 0)
@@ -229,17 +222,6 @@ def test_cocycle_identity_with_identity_argument():
     g, one = torus(2, 3), StructuredElement.identity(2)
     assert cocycle_identity_check(g, one, g, place)
     assert cocycle_identity_check(one, g, one, place)
-
-
-def test_cover_element_multiplication():
-    place = Place.finite(3)
-    g = CoverElement(torus(3, 3), 1)
-    h = CoverElement(torus(3, 1), -1)
-    gh = g.multiply(h, place)
-    assert gh.element == torus(9, 3)
-    assert gh.xi == -1 * hilbert(3, 1, place)
-    with pytest.raises(DomainError):
-        CoverElement(torus(2, 1), 0)
 
 
 # even subtorus reduction -----------------------------------------------
@@ -468,27 +450,6 @@ def test_block_lemmas_check_bad_slots():
         block_lemmas_check(1, 1, Torus((4, 1)), Torus((9, 1)), Place.finite(3))
 
 
-# RootScaled ------------------------------------------------------------
-
-
-def test_root_scaled_normalization():
-    x = RootScaled(Fraction(-3, 2), EighthRoot(1))
-    assert x.coeff == Fraction(3, 2)
-    assert x.root == EighthRoot(5)
-    assert x == RootScaled(Fraction(3, 2), EighthRoot(5))
-    assert (x * x.inverse()) == RootScaled.one()
-    assert x**2 == RootScaled(Fraction(9, 4), EighthRoot(2))
-    with pytest.raises(DomainError):
-        RootScaled(0)
-
-
-def test_root_scaled_value():
-    import cmath
-
-    v = RootScaled(2, EighthRoot(2)).value()
-    assert cmath.isclose(v, 2j)
-
-
 # unramified characters -------------------------------------------------
 
 
@@ -507,240 +468,6 @@ def test_unramified_character_values():
         UnramifiedCharacter(Place.finite(5))
     with pytest.raises(DomainError):
         chi.value(0)
-
-
-# genuine torus characters ----------------------------------------------
-
-
-def te_samples(place, rng, count=6):
-    p = place.p
-    reps = [Fraction(1), Fraction(2), Fraction(p), Fraction(2 * p)]
-    out = []
-    for _ in range(count):
-        pairs = []
-        for _ in range(2):
-            c = rng.choice(reps)
-            s = Fraction(rng.randint(1, 7))
-            pairs.extend([c * s * s, c])
-        out.append(StructuredElement.torus(pairs))
-    return out
-
-
-def test_character_eval_trivial_cases():
-    place = Place.finite(5)
-    psi = AdditiveCharacter(place)
-    chi = UnramifiedCharacter(place, at_uniformizer=Fraction(7))
-    one = StructuredElement.identity(4)
-    assert character_eval("standard", one, 1, chi, psi) == RootScaled.one()
-    assert character_eval("standard", one, -1, chi, psi) == RootScaled(-1)
-    u = torus(2, 2)
-    assert character_eval("standard", u, 1, chi, psi) == RootScaled.one()
-    assert character_eval("twisted", one, 1, chi, psi, a=2) == RootScaled.one()
-
-
-def test_character_eval_rejects_bad_input():
-    place = Place.finite(5)
-    psi = AdditiveCharacter(place)
-    chi = UnramifiedCharacter(place, at_uniformizer=Fraction(7))
-    with pytest.raises(PreconditionError):
-        character_eval("standard", torus(2, 1, 1, 1), 1, chi, psi)
-    with pytest.raises(DomainError):
-        character_eval("twisted", torus(4, 1), 1, chi, psi)  # missing a
-    with pytest.raises(DomainError):
-        character_eval("unknown", torus(4, 1), 1, chi, psi)
-
-
-def test_character_eval_uniformizer_value():
-    p = 5
-    place = Place.finite(p)
-    psi = AdditiveCharacter(place)
-    chi = UnramifiedCharacter(place, at_uniformizer=Fraction(3))
-    t = torus(p, p)  # ratio 1, in the even subtorus
-    got = character_eval("standard", t, 1, chi, psi)
-    assert got == RootScaled(Fraction(9), mu(p, psi))
-
-
-def test_character_property_standard_and_twisted():
-    # value(t) value(t') sigma_reduced(t, t') = value(t t'), exactly
-    rng = random.Random(12)
-    for p in (3, 5, 7):
-        place = Place.finite(p)
-        psi = AdditiveCharacter(place)
-        chi = UnramifiedCharacter(place, at_uniformizer=Fraction(3, 7))
-        for kind, extra in (("standard", {}), ("twisted", {"a": 2}), ("twisted", {"a": p})):
-            for t in te_samples(place, rng, 4):
-                for h in te_samples(place, rng, 4):
-                    lhs = (
-                        character_eval(kind, t, 1, chi, psi, **extra)
-                        * character_eval(kind, h, -1, chi, psi, **extra)
-                        * sigma_torus_even_reduced(t, h, place)
-                    )
-                    rhs = character_eval(kind, t.compose(h), -1, chi, psi, **extra)
-                    assert lhs == rhs, (kind, p, t, h)
-
-
-def test_character_property_real_place():
-    psi = AdditiveCharacter(REAL)
-    chi = UnramifiedCharacter(REAL, sign_exponent=1)
-    elements = [torus(1, 4), torus(-1, -9), torus(2, 2, -1, -1), torus(3, 3, 5, 5)]
-    for t in elements:
-        for h in elements:
-            if t.r != h.r:
-                continue
-            lhs = (
-                character_eval("standard", t, 1, chi, psi)
-                * character_eval("standard", h, 1, chi, psi)
-                * sigma_torus_even_reduced(t, h, REAL)
-            )
-            assert lhs == character_eval("standard", t.compose(h), 1, chi, psi)
-
-
-# central characters ----------------------------------------------------
-
-
-def test_central_char_trivial_and_frozen():
-    place = Place.finite(5)
-    psi = AdditiveCharacter(place)
-    # chi_value/eta_value are the character values AT the argument; at a
-    # unit they are 1 for any unramified character
-    got = central_char_eval("odd", 2, 1, 2, Fraction(1), psi)
-    assert got == RootScaled.one()
-    # at a unit, mu drops out and only the supplied value's power remains
-    got = central_char_eval("odd", 2, 1, 2, Fraction(3), psi)
-    assert got == RootScaled(Fraction(3) ** 5)
-    # scale p with q = 2: chi(p)^2 mu(p)^2 and mu(p)^2 = (p,p)_p = (-1|p)
-    c = Fraction(3, 2)
-    got = central_char_eval("even", 5, 1, 2, c, psi)
-    assert got == RootScaled(c**2, EighthRoot.from_sign(legendre(-1, 5)))
-
-
-def test_central_char_identity_is_one():
-    place = Place.finite(7)
-    psi = AdditiveCharacter(place)
-    for kind in ("odd", "even", "pair_even", "pair_odd"):
-        got = central_char_eval(kind, 1, 1, 3, Fraction(1), psi, eta_value=Fraction(1))
-        assert got == RootScaled.one()
-
-
-def test_central_char_is_character_of_the_cover_center():
-    rng = random.Random(13)
-    samples = [1, 2, 5, -1, -2, Fraction(1, 5), 10]
-    for place in (Place.finite(5), Place.finite(7), REAL):
-        psi = AdditiveCharacter(place)
-        if place.is_real:
-            chi = UnramifiedCharacter(place, sign_exponent=1)
-            eta = UnramifiedCharacter(place, sign_exponent=0)
-        else:
-            chi = UnramifiedCharacter(place, at_uniformizer=Fraction(3, 2))
-            eta = UnramifiedCharacter(place, at_uniformizer=Fraction(7))
-        for kind, rank_of in (
-            ("odd", lambda q: 2 * q + 1),
-            ("even", lambda q: 2 * q),
-            ("pair_even", lambda q: 2 * q),
-            ("pair_odd", lambda q: 2 * q),
-        ):
-            for q in (1, 2, 3):
-                r = rank_of(q)
-                for _ in range(8):
-                    a1, a2 = rng.choice(samples), rng.choice(samples)
-                    z1 = StructuredElement.central(a1, r)
-                    z2 = StructuredElement.central(a2, r)
-                    sign = sigma_eval(z1, z2, place)
-
-                    def val(x):
-                        return central_char_eval(
-                            kind, x, 1, q, chi.value(x), psi, eta_value=eta.value(x)
-                        )
-
-                    assert val(a1) * val(a2) * sign == val(
-                        Fraction(a1) * Fraction(a2)
-                    ), (kind, q, a1, a2, str(place))
-
-
-def test_central_char_needs_eta_for_pair_kinds():
-    psi = AdditiveCharacter(Place.finite(5))
-    with pytest.raises(DomainError):
-        central_char_eval("pair_odd", 2, 1, 1, Fraction(3), psi)
-
-
-# nilpotent characters --------------------------------------------------
-
-
-def uni(r, entries):
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    for (i, j), x in entries.items():
-        rows[i - 1][j - 1] = Fraction(x)
-    return StructuredElement.unipotent_upper(rows)
-
-
-def test_nilpotent_identity_is_one():
-    psi = AdditiveCharacter(Place.finite(5))
-    n = StructuredElement.unipotent_upper([[1, 0], [0, 1]])
-    assert nilpotent_char_phase("alternating", n, psi) == 0
-    assert nilpotent_char_eval("whittaker", n, psi) == 1
-
-
-def test_nilpotent_alternating_rank4():
-    psi = AdditiveCharacter(Place.finite(5))
-    alpha, beta = Fraction(2, 5), Fraction(3, 25)
-    n = uni(4, {(3, 4): alpha, (1, 2): beta, (1, 4): Fraction(7, 5)})
-    assert nilpotent_char_phase("alternating", n, psi) == psi.phase(alpha + beta)
-    # rank 5: positions (4,5) and (2,3) only
-    m = uni(5, {(4, 5): alpha, (2, 3): beta, (1, 2): Fraction(1, 5)})
-    assert nilpotent_char_phase("alternating", m, psi) == psi.phase(alpha + beta)
-
-
-def test_nilpotent_whittaker_scaled_first_slot():
-    psi = AdditiveCharacter(Place.finite(3))
-    x = Fraction(1, 3)
-    n = uni(3, {(1, 2): x})
-    assert nilpotent_char_phase("whittaker", n, psi, a=2) == psi.phase(2 * x)
-    m = uni(3, {(1, 2): x, (2, 3): Fraction(1, 9)})
-    assert nilpotent_char_phase("whittaker", m, psi, a=2) == psi.phase(
-        2 * x + Fraction(1, 9)
-    )
-
-
-def test_nilpotent_tuple_reads_paired_slots():
-    psi = AdditiveCharacter(Place.finite(5))
-    n = uni(4, {(1, 2): Fraction(1, 5), (3, 4): Fraction(2, 5), (2, 3): Fraction(99)})
-    got = nilpotent_char_phase("tuple", n, psi, coefficients=(2, 3))
-    assert got == psi.phase(2 * Fraction(1, 5) + 3 * Fraction(2, 5))
-    with pytest.raises(DomainError):
-        nilpotent_char_phase("tuple", n, psi, coefficients=(1, 1, 1))
-
-
-def test_nilpotent_characters_are_multiplicative():
-    rng = random.Random(14)
-    psi = AdditiveCharacter(Place.finite(3))
-    for kind, kwargs in (
-        ("alternating", {}),
-        ("whittaker", {"a": 2}),
-        ("tuple", {"coefficients": (1, 2)}),
-    ):
-        for _ in range(25):
-            def rand_uni():
-                entries = {}
-                for i in range(1, 5):
-                    for j in range(i + 1, 5):
-                        entries[(i, j)] = Fraction(
-                            rng.randint(-6, 6), rng.choice([1, 3, 9])
-                        )
-                return uni(4, entries)
-
-            n1, n2 = rand_uni(), rand_uni()
-            lhs = (
-                nilpotent_char_phase(kind, n1, psi, **kwargs)
-                + nilpotent_char_phase(kind, n2, psi, **kwargs)
-            ) % 1
-            rhs = nilpotent_char_phase(kind, n1.compose(n2), psi, **kwargs)
-            assert lhs == rhs, kind
-
-
-def test_nilpotent_rejects_non_unipotent():
-    psi = AdditiveCharacter(Place.finite(5))
-    with pytest.raises(PreconditionError):
-        nilpotent_char_phase("alternating", torus(2, 3), psi)
 
 
 # structured element plumbing -------------------------------------------

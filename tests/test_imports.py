@@ -164,7 +164,7 @@ LOADS = {
     "hilbert": (NUMPY_FREE["hilbert"], ()),
     "weil-gamma": (NUMPY_FREE["weil-gamma"], ("weil_index",)),
     "weil-mu": (NUMPY_FREE["weil-mu"], ("weil_index",)),
-    "cocycle": (NUMPY_FREE["cocycle"], ("weil_index", "cocycle")),
+    "cocycle": (NUMPY_FREE["cocycle"], ("cocycle",)),
     "lfactor": (NUMPY_FREE["lfactor"], ("symsq",)),
     "zeta": (NUMPY_FREE["zeta"], ("symsq",)),
     "poles": (NUMPY_FREE["poles"], ("symsq",)),
@@ -172,8 +172,8 @@ LOADS = {
     "euler": (NUMPY_FREE["euler"], ("symsq",)),
     "suite-symbols": (["suite", "symbols"], ("checks",)),
     "suite-weil": (NUMPY_FREE["suite-weil"], ("checks", "weil_index")),
-    "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("checks", "weil_index", "cocycle")),
-    "suite-all-filtered": (NUMPY_FREE["suite-all-filtered"], ("checks", "weil_index", "cocycle")),
+    "suite-cocycles": (NUMPY_FREE["suite-cocycles"], ("checks", "cocycle")),
+    "suite-all-filtered": (NUMPY_FREE["suite-all-filtered"], ("checks", "cocycle")),
     "suite-symsq": (NUMPY_FREE["suite-symsq"], ("checks", "symsq")),
 }
 

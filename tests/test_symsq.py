@@ -487,6 +487,15 @@ def test_euler_product_edges():
     assert euler_product([ram], 0.2) == 1
 
 
+@pytest.mark.parametrize("s", [10**400, -(10**400)], ids=["plus", "minus"])
+def test_euler_product_refuses_an_s_past_the_float_range(s):
+    with pytest.raises(DomainError, match=rf"^s = {s} is past the float range$"):
+        euler_product([SatakeData(1, [1], 5)], s)
+    # q^(-s) past the float range is refused by name too, not as an OverflowError
+    with pytest.raises(DomainError, match=r"^q\^\(-s\) at q=5, s=-1000 "):
+        euler_product([SatakeData(1, [1], 5)], -1000)
+
+
 # exact integer kernels against independent oracles -------------------------------
 
 

@@ -17,8 +17,6 @@ FACTORIES = {
     "Torus": lambda: cocycle.Torus((2, Fraction(-1, 3))),
     "MatrixBlock": lambda: cocycle.gl2(1, 2, 3, 7),
     "StructuredElement": lambda: cocycle.StructuredElement.torus(2, 3),
-    "CoverElement": lambda: cocycle.CoverElement(cocycle.StructuredElement.torus(2, 3), -1),
-    "RootScaled": lambda: cocycle.RootScaled(Fraction(-3, 2), weil_index.EighthRoot(1)),
     "Partition": lambda: symsq.Partition((3, 1, 0)),
     "LocalFactor": lambda: symsq.LocalFactor([1, -2, Fraction(1, 4)]),
     "QPower": lambda: symsq.QPower(2, Fraction(1, 2), -1),

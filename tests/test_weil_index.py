@@ -47,11 +47,6 @@ def test_eighth_root_values():
 
 
 def test_eighth_root_signs():
-    assert EighthRoot(0).as_sign() == 1
-    assert EighthRoot(4).as_sign() == -1
-    assert not EighthRoot(2).is_sign()
-    with pytest.raises(DomainError):
-        EighthRoot(1).as_sign()
     assert repr(EighthRoot(6)) == "-i"
     assert repr(EighthRoot(3)) == "e^(3i*pi/4)"
 
