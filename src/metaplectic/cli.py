@@ -525,7 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--place", required=True, help="inf or a prime")
     ph.set_defaults(fn=cmd_hilbert)
 
-    pc = sub.add_parser("cocycle", help="cocycle of two structured elements")
+    pc = sub.add_parser(
+        "cocycle",
+        help="cover cocycle of two structured elements, Kubota's GL2 formula on 2x2 slots",
+    )
     pc.add_argument("g", help="torus(...), central(a,r), sl2(a,b,c,d), gl2(...), blocks[...]")
     pc.add_argument("h")
     pc.add_argument("--place", required=True)

@@ -156,17 +156,15 @@ class Frozen:
 
 
 class Value(Frozen):
-    """A Frozen type equal to another of its own type when the fields named
-    by ``_key`` (every slot unless a class narrows it) are equal, and hashed
-    by those fields alone: their tuple, or the one field itself."""
+    """A Frozen type equal to another of its own type when its slots are
+    equal, and hashed by them alone: their tuple, or the one slot itself."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = cls.__dict__.get("_key", cls.__slots__)
         # a plain class attribute, not a method: call it as self._fields(obj)
-        cls._fields = operator.attrgetter(*cls._key)
+        cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -1,15 +1,17 @@
 """Every library name has a library caller: `src/` holds what a suite, the
-CLI or the benchmark runs, and a name that only tests reach is flagged."""
+CLI, the acceptance gate or the benchmark runs, and a name that only the
+other tests reach is flagged."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 import metaplectic
 
 PACKAGE = Path(metaplectic.__file__).resolve().parent
-PERFBENCH = PACKAGE.parent.parent / "perfbench"
+ROOT = PACKAGE.parent.parent
+# the benchmark and the acceptance gate call the library as `src/` does
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 # names without a library caller yet, each with the ROADMAP item that gives it one
 WAITING = {
@@ -47,14 +49,12 @@ def _mentions(node) -> Counter:
 def _uncalled(package=PACKAGE):
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
-    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    outside = sum((_mentions(ast.parse(path.read_text())) for path in CALLERS), Counter())
     flagged = set()
     for tree in trees.values():
         for name, node in _definitions(tree):
             # a mention inside the definition itself (recursion, a docstring) is no caller
-            if everywhere[name] > _mentions(node)[name]:
-                continue
-            if re.search(rf"\b{re.escape(name)}\b", bench):
+            if everywhere[name] > _mentions(node)[name] or outside[name]:
                 continue
             flagged.add(name)
     return flagged

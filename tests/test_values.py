@@ -59,7 +59,7 @@ def test_value_equality_needs_the_same_type_and_key():
     assert Place.finite(7).__eq__(7) is NotImplemented
     assert Place.finite(7) != 7 and Place.finite(7) != Place.finite(5)
     assert symsq.Partition((2,)) != TruncatedSeries([2])
-    # a block's equality reads its rows alone, pinned to det 1 or not
+    # sl2 and gl2 build the same block, equal and hashed by its rows
     assert cocycle.sl2(1, 1, 0, 1) == cocycle.gl2(1, 1, 0, 1)
     assert hash(cocycle.sl2(1, 1, 0, 1)) == hash(cocycle.gl2(1, 1, 0, 1))
     assert symsq.QPower(2, 1) != symsq.QPower(2, 1, 1)

@@ -296,6 +296,32 @@ def test_multiplier_agrees_with_kubota_up_to_borel_coboundary(p, N):
         assert nontrivial > 0
 
 
+def test_chi_twisted_multiplier_agrees_with_kubota_gl2():
+    # square-determinant blocks g0 diag(1, s^2) and g0 s I carry the letter
+    # d(s), whose scalar has chi(s): chi(1/3) = 2/3 enters the operators
+    p, N = 3, 2
+    m = build_model(p, N)
+    place = Place.finite(p)
+    chi = UnramifiedCharacter(place, at_uniformizer=Fraction(3, 2))
+    mats = [
+        g.compose(gl2(a, 0, 0, s * s / a))
+        for s in (Fraction(2), Fraction(1, 3))
+        for g in _sample_blocks(p, N)
+        for a in (1, s)
+    ]
+    checked = nontrivial = 0
+    for g, h in itertools.product(mats, mats):
+        try:
+            c = snap_sign(projective_multiplier(g, h, m, chi=chi))
+        except PreconditionError:
+            continue  # composite left the window
+        ds = borel_sign(g, place) * borel_sign(h, place) * borel_sign(g.compose(h), place)
+        assert c == kubota_sl2(g, h, place) * ds, (g.rows, h.rows)
+        checked += 1
+        nontrivial += c == -1
+    assert checked > 300 and nontrivial > 0
+
+
 @pytest.mark.parametrize("p,N", [(3, 1), (5, 1)])
 def test_multiplier_cocycle_identity(p, N):
     m = build_model(p, N)
