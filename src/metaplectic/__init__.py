@@ -1,6 +1,6 @@
 """Exact local arithmetic for metaplectic covers.
 
-Modules: local_arith (Hilbert symbols, square classes, truncated series),
+Modules: local_arith (Hilbert symbols, square classes, exact primality),
 weil_index (eighth roots of unity attached to quadratic Gauss sums),
 cocycle (the double cover's 2-cocycle on structured GL_r elements),
 weil_rep (a finite lattice model of the Weil representation),

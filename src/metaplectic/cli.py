@@ -353,7 +353,7 @@ def cmd_zeta(args) -> int:
     sat = _sat_from_args(args)
     series = toral_series(sat, args.deg)
     ok = series == sym_square_series(sat, args.deg)
-    print(f"toral series coefficients: {render(list(series.coeffs))}")
+    print(f"toral series coefficients: {render(list(series))}")
     print(f"identity to X^{args.deg}: {render(ok)}")
     return 0 if ok else 1
 

@@ -62,11 +62,6 @@ class Torus(Value):
     def is_identity(self) -> bool:
         return all(e == 1 for e in self.entries)
 
-    def compose(self, other):
-        if not isinstance(other, Torus) or other.size != self.size:
-            raise UnsupportedDomainError("torus composition needs equal sizes")
-        return Torus(tuple(a * b for a, b in zip(self.entries, other.entries)))
-
     def __repr__(self):
         return f"Torus({list(map(shown, self.entries))})"
 
@@ -218,14 +213,6 @@ class StructuredElement(Value):
             )
         return all(b.is_identity() for b in self.blocks)
 
-    def det(self) -> Fraction:
-        if self.is_unipotent:
-            return Fraction(1)
-        d = Fraction(1)
-        for b in self.blocks:
-            d *= b.det()
-        return d
-
     def block_structure(self) -> tuple:
         if self.blocks is None:
             return ()
@@ -244,7 +231,10 @@ class StructuredElement(Value):
         )
 
     def compose(self, other: "StructuredElement") -> "StructuredElement":
-        """Product g * other, defined when both stay in one supported class."""
+        """Product g * other, defined when both stay in one supported class:
+        two unipotent elements, or two block-diagonal ones on one partition,
+        multiplied slot by slot (a size-2 torus against a 2x2 block reads as
+        diag(a, b)). Two tori on different partitions multiply as one torus."""
         if self.is_unipotent and other.is_unipotent:
             if self.r != other.r:
                 raise UnsupportedDomainError("rank mismatch")
@@ -259,16 +249,15 @@ class StructuredElement(Value):
             return StructuredElement(matrix=rows)
         if self.is_unipotent or other.is_unipotent:
             raise UnsupportedDomainError("mixed unipotent product not supported")
-        if self.is_torus and other.is_torus and self.r == other.r:
-            return StructuredElement.torus(
-                tuple(x * y for x, y in zip(self.torus_entries, other.torus_entries))
+        if tuple(b.size for b in self.blocks) != tuple(b.size for b in other.blocks):
+            if self.is_torus and other.is_torus and self.r == other.r:
+                return StructuredElement.torus(
+                    _entrywise(self.torus_entries, other.torus_entries)
+                )
+            raise UnsupportedDomainError(
+                f"block partitions differ: {self.block_structure()} vs {other.block_structure()}"
             )
-        gs, hs = self.block_structure(), other.block_structure()
-        if gs != hs:
-            raise UnsupportedDomainError(f"block structures differ: {gs} vs {hs}")
-        return StructuredElement.block_diagonal(
-            tuple(p.compose(q) for p, q in zip(self.blocks, other.blocks))
-        )
+        return StructuredElement.block_diagonal(map(_slot_product, self.blocks, other.blocks))
 
     def __repr__(self):
         if self.is_unipotent:
@@ -289,11 +278,22 @@ def _torus_rule(ts, hs, place: Place) -> Sign:
     return -1 if e else 1
 
 
+def _entrywise(xs, ys) -> tuple:
+    return tuple(x * y for x, y in zip(xs, ys))
+
+
 def _rows(payload) -> tuple:
     if isinstance(payload, Torus):
         a, b = payload.entries
         return (a, 0), (0, b)
     return payload.rows
+
+
+def _slot_product(p, q):
+    # two payloads of one size; a size-2 Torus against a 2x2 block is diag(a, b)
+    if isinstance(p, Torus) and isinstance(q, Torus):
+        return Torus(_entrywise(p.entries, q.entries))
+    return MatrixBlock(_product(_rows(p), _rows(q)))
 
 
 def kubota_sl2(g, h, place: Place) -> Sign:

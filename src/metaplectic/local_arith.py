@@ -1,9 +1,12 @@
 """Exact arithmetic substrate: rationals inside each completion of Q.
 
+It holds the places of Q, valuations and square classes, the Hilbert symbol
+with its brute-force solvability oracle, exact primality and factoring, and
+the immutable base types Frozen and Value that the other modules build on.
+
 Everything here is exact. Rational numbers are stdlib ``fractions.Fraction``
-(already stored in lowest terms with a positive denominator), signs are plain
-ints in {+1, -1}, and power series are rational-coefficient arrays truncated
-at a fixed degree.
+(already stored in lowest terms with a positive denominator), and signs are
+plain ints in {+1, -1}.
 
 The base field is Q throughout; a "place" is a finite prime (2 allowed) or
 the real place. The complex place is excluded on purpose: every symbol is
@@ -424,112 +427,3 @@ def square_class_rep(a, place: Place) -> Fraction:
         return Fraction(-1 if c else 1)
     unit = (1, 5, 7, 3)[c >> 1] if p == 2 else (least_nonresidue(p) if c & 2 else 1)
     return Fraction(p ** (c & 1) * unit)
-
-
-class TruncatedSeries(Value):
-    """Formal power series over Q, truncated at a fixed degree D.
-
-    Coefficients are Fractions indexed 0..D; arithmetic never reads past
-    degree D. All binary operations require equal truncation degrees.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, degree: int | None = None):
-        cs = [as_fraction(c) for c in coeffs]
-        if degree is not None:
-            if degree < 0:
-                raise DomainError("truncation degree must be nonnegative")
-            if len(cs) > degree + 1:
-                cs = cs[: degree + 1]
-            cs.extend([Fraction(0)] * (degree + 1 - len(cs)))
-        elif not cs:
-            raise DomainError("empty coefficient list and no degree")
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def one(cls, degree: int) -> "TruncatedSeries":
-        return cls([1], degree=degree)
-
-    @classmethod
-    def from_polynomial(cls, coeffs, degree: int) -> "TruncatedSeries":
-        return cls(list(coeffs), degree=degree)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.degree != other.degree:
-            raise DomainError(
-                f"truncation degrees differ: {self.degree} vs {other.degree}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check(other)
-        return TruncatedSeries(
-            [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return TruncatedSeries([-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check(other)
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j in range(d + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod X^(D+1); constant term must be nonzero."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise DomainError("series with zero constant term is not invertible")
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        out[0] = 1 / a0
-        for n in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * out[n - k]
-            out[n] = -acc / a0
-        return TruncatedSeries(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncatedSeries.one(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __repr__(self):
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]})"

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     shown,
 )
-from .local_arith import Frozen, TruncatedSeries, Value, as_fraction
+from .local_arith import Frozen, Value, as_fraction
 
 RAMIFIED = "ramified"
 
@@ -242,19 +242,21 @@ class LocalFactor(Value):
                 poly[k] -= c * poly[k - 1]
         return cls([Fraction(c, den**k) for k, c in enumerate(poly)])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x):
-        exact = isinstance(x, (int, Fraction))
-        out = Fraction(0) if exact else complex(0)
+    def evaluate(self, x: complex) -> complex:
+        out = complex(0)
         for c in reversed(self.coeffs):
-            out = out * x + (c if exact else complex(c))
+            out = out * x + complex(c)
         return out
 
-    def inverse_series(self, degree: int) -> TruncatedSeries:
-        return TruncatedSeries.from_polynomial(list(self.coeffs), degree).inverse()
+    def inverse_series(self, degree: int) -> tuple:
+        """The coefficients of 1/P to X^degree, X^k at index k. P(0) = 1, so
+        out_n = -sum_{k >= 1} P_k out_{n-k} needs no division."""
+        _check_degree(degree)
+        out = [Fraction(1)]
+        for n in range(1, degree + 1):
+            terms = (c * out[n - k] for k, c in enumerate(self.coeffs[1 : n + 1], 1))
+            out.append(-sum(terms, Fraction(0)))
+        return tuple(out)
 
     def __mul__(self, other):
         return LocalFactor(_poly_mul(list(self.coeffs), list(other.coeffs)))
@@ -291,15 +293,6 @@ class QPower(Value):
             self.q_exp + other.q_exp,
             self.s_coef + other.s_coef,
         )
-
-    def value(self, q: int):
-        """Numeric value with q substituted; exact when the exponent is an
-        integer, floating otherwise. Requires no s-dependence."""
-        if self.s_coef != 0:
-            raise PreconditionError("value still depends on the s parameter")
-        if self.q_exp.denominator == 1:
-            return self.coef * Fraction(q) ** self.q_exp
-        return float(self.coef) * float(q) ** float(self.q_exp)
 
     def __repr__(self):
         return f"QPower({shown(self.coef)}, q_exp={self.q_exp}, s_coef={self.s_coef})"
@@ -463,7 +456,7 @@ def toral_q_values(partition, sat: SatakeData, chi_sqrt_val=None, omega_val=None
 # generating identities -----------------------------------------------------------
 
 
-def even_partition_gf(sat: SatakeData, degree: int) -> TruncatedSeries:
+def even_partition_gf(sat: SatakeData, degree: int) -> tuple:
     """Sum over even dominant partitions with at most r-1 parts of the
     Schur value times X^{half the weight}, truncated at X^degree."""
     _check_degree(degree)
@@ -473,10 +466,10 @@ def even_partition_gf(sat: SatakeData, degree: int) -> TruncatedSeries:
     for m in range(degree + 1):
         total = sum(_jacobi_trudi(lam.parts, h) for lam in even_dominant_partitions(m, sat.r - 1))
         coeffs.append(Fraction(total, den ** (2 * m)))
-    return TruncatedSeries(coeffs)
+    return tuple(coeffs)
 
 
-def sym_square_series(sat: SatakeData, degree: int) -> TruncatedSeries:
+def sym_square_series(sat: SatakeData, degree: int) -> tuple:
     """prod_{i<=j}(1 - a_i a_j X)^{-1} (1 - omega^2 X^r) to X^degree: the
     symmetric-square factor divided by the degree-r twist factor, in the
     variable X = chi(w) q^{-2s+1/2} of unramified_zeta_check."""
@@ -487,19 +480,17 @@ def sym_square_series(sat: SatakeData, degree: int) -> TruncatedSeries:
         [ints[i] * ints[j] for i in range(r) for j in range(i, r)], degree
     )
     omega2 = math.prod(ints) ** 2
-    return TruncatedSeries(
-        [
-            Fraction(h[k] - omega2 * h[k - r] if k >= r else h[k], den ** (2 * k))
-            for k in range(degree + 1)
-        ]
+    return tuple(
+        Fraction(h[k] - omega2 * h[k - r] if k >= r else h[k], den ** (2 * k))
+        for k in range(degree + 1)
     )
 
 
 def even_partition_identity_check(sat: SatakeData, degree: int = 10) -> bool:
     """prod_{i<=j}(1 - a_i a_j X)^{-1} equals the even-partition generating
     function times (1 - omega^2 X^r)^{-1}, to the given order. Checked in
-    the equivalent form gf = sym_square_series, since 1 - omega^2 X^r is a
-    unit of the truncated series ring."""
+    the equivalent form gf = sym_square_series, since 1 - omega^2 X^r is
+    invertible mod X^(degree + 1)."""
     return even_partition_gf(sat, degree) == sym_square_series(sat, degree)
 
 
@@ -540,7 +531,7 @@ def rs_factorization_check(sat: SatakeData) -> bool:
 # the toral zeta computation ---------------------------------------------------------
 
 
-def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> TruncatedSeries:
+def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> tuple:
     """The toral sum of Whittaker times both semi-Whittaker values times
     delta_Q^s delta_B^{-1}, assembled term by term as QPower products, in
     the variable X = chi(w) q^{-2s+1/2}. Raises DomainError for rank r < 2
@@ -579,7 +570,7 @@ def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> TruncatedSe
                 )
             total += term.coef / chi**m
         series.append(total)
-    return TruncatedSeries(series)
+    return tuple(series)
 
 
 def unramified_zeta_check(sat: SatakeData, degree: int = 10, chi_sqrt_val=None) -> bool:

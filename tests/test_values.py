@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from metaplectic import cocycle, symsq, weil_index, weil_rep
-from metaplectic.local_arith import Frozen, Place, TruncatedSeries, Value
+from metaplectic.local_arith import Frozen, Place, Value
 
 # one factory per Frozen subclass; two calls build equal, distinct objects
 FACTORIES = {
     "Place": lambda: Place.finite(7),
-    "TruncatedSeries": lambda: TruncatedSeries([1, Fraction(1, 2)], degree=3),
     "EighthRoot": lambda: weil_index.EighthRoot(3),
     "AdditiveCharacter": lambda: weil_index.AdditiveCharacter(Place.finite(5), Fraction(2, 3)),
     "Torus": lambda: cocycle.Torus((2, Fraction(-1, 3))),
@@ -58,7 +57,7 @@ def test_frozen_types_refuse_set_and_del(name):
 def test_value_equality_needs_the_same_type_and_key():
     assert Place.finite(7).__eq__(7) is NotImplemented
     assert Place.finite(7) != 7 and Place.finite(7) != Place.finite(5)
-    assert symsq.Partition((2,)) != TruncatedSeries([2])
+    assert symsq.Partition((2,)) != cocycle.Torus((2,))
     # sl2 and gl2 build the same block, equal and hashed by its rows
     assert cocycle.sl2(1, 1, 0, 1) == cocycle.gl2(1, 1, 0, 1)
     assert hash(cocycle.sl2(1, 1, 0, 1)) == hash(cocycle.gl2(1, 1, 0, 1))
