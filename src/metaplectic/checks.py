@@ -538,7 +538,7 @@ def symsq_suite():
         ("symsq/zeta-check", "r=2 trivial; r=3 chi=2", zeta),
         ("symsq/rs-factorization", "r <= 4 seeded tuples", rs),
         ("symsq/tate-ratio", "even, r=2, s=1/4, q=3",
-         lambda rng: (Fraction(40, 27), tate_factor_ratio("even", 2, 1, Fraction(1, 4), 1, 3))),
+         lambda rng: (Fraction(40, 27), tate_factor_ratio(2, Fraction(1, 4), 1, 3))),
         ("symsq/pole-report", "trivial composite character",
          lambda rng: (poles, pole_summary(2, True))),
         ("symsq/euler-zeta2", "primes < 100 at s=2",

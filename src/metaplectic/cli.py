@@ -127,7 +127,7 @@ def parse_rational_list(text: str):
 #   blocks[e1, e2]     block-diagonal combination of the above
 
 
-def _split_top(text: str, sep: str = ","):
+def _split_top(text: str):
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "([":
@@ -136,7 +136,7 @@ def _split_top(text: str, sep: str = ","):
             depth -= 1
             if depth < 0:
                 raise DataError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

@@ -11,7 +11,7 @@ repeated entry, so the torus rule gives the central (a, b)^(r(r-1)/2) too.
 
 The formulas are pure Hilbert-symbol algebra and work at every place of Q,
 including 2. UnramifiedCharacter, the character chi of the twist, lives here
-too: a value at the uniformizer, or a sign character at the real place.
+too: its value at the uniformizer of a finite place.
 """
 
 from __future__ import annotations
@@ -437,32 +437,26 @@ def block_lemmas_check(i: int, j: int, g, h, place: Place, partition=(2, 2)) -> 
 
 
 class UnramifiedCharacter(Frozen):
-    """Multiplicative character determined by one value: at a finite place,
-    its value at the uniformizer (trivial on units); at the real place, a
-    sign character x -> sign(x)^e. Values are exact rationals."""
+    """Multiplicative character at a finite place, trivial on units and
+    determined by its value at the uniformizer, an exact nonzero rational.
+    A real place is a DomainError."""
 
-    __slots__ = ("place", "at_uniformizer", "sign_exponent")
+    __slots__ = ("place", "at_uniformizer")
 
-    def __init__(self, place: Place, at_uniformizer=None, sign_exponent: int = 0):
-        if place.is_finite:
-            if at_uniformizer is None:
-                raise DomainError("finite place needs a value at the uniformizer")
-            at_uniformizer = as_fraction(at_uniformizer)
-            if at_uniformizer == 0:
-                raise DomainError("character value must be nonzero")
+    def __init__(self, place: Place, at_uniformizer):
+        if not place.is_finite:
+            raise DomainError(f"an unramified character needs a finite place, got {place}")
+        at_uniformizer = as_fraction(at_uniformizer)
+        if at_uniformizer == 0:
+            raise DomainError("character value must be nonzero")
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "at_uniformizer", at_uniformizer)
-        object.__setattr__(self, "sign_exponent", sign_exponent % 2)
 
     def value(self, x) -> Fraction:
         x = as_fraction(x)
         if x == 0:
             raise DomainError("character of 0 is undefined")
-        if self.place.is_real:
-            return Fraction(1) if (x > 0 or self.sign_exponent == 0) else Fraction(-1)
         return self.at_uniformizer ** _split(x, self.place.p)[0]
 
     def __repr__(self):
-        if self.place.is_real:
-            return f"UnramifiedCharacter(real, sign^{self.sign_exponent})"
         return f"UnramifiedCharacter({self.place}, at_p={self.at_uniformizer})"

@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from .errors import DomainError, OracleConsistencyError, shown
 
-Rational = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and exact numeric strings to Fraction."""

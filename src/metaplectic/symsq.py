@@ -13,6 +13,11 @@ are never floated. The headline checks are
     values against the symmetric-square local factor, after substituting
     X = chi(w) q^{-2s+1/2}.
 
+Beside them, tate_factor_ratio(r, s, c, q) is the Tate-factor normalizer of
+the Bump-Ginzburg Eisenstein series, one function of the rank, the point s,
+the twisted character value c (or RAMIFIED) and q. Where its numerator or
+denominator factor is singular it returns the constant POLE or ZERO.
+
 Exponent conventions: the torus section contributes its parabolic modulus
 to the s-power exactly once (delta_Q^s with Q the corank-one parabolic),
 and the Haar collapse contributes delta_B^{-1}. These are the unique
@@ -35,6 +40,9 @@ from .errors import (
 from .local_arith import Frozen, Value, as_fraction
 
 RAMIFIED = "ramified"
+# what tate_factor_ratio returns where its numerator or denominator is singular
+POLE = "pole"
+ZERO = "zero"
 
 
 # partitions ------------------------------------------------------------------
@@ -362,14 +370,14 @@ def schur_tableau_oracle(partition, values) -> Fraction:
 # modulus characters ------------------------------------------------------------
 
 
-_GROUPS = ("borel", "borel-sub", "pair-blocks", "corank-one")
+_GROUPS = ("borel", "borel-sub", "corank-one")
 
 
 def modulus_exponent(group: str, partition, r: int) -> int:
     """The exponent e with delta(t_lambda) = q^{-e} for the standard
     parabolic named by `group`: "borel" (all blocks of size 1), "borel-sub"
-    (the Borel of the upper-left rank r-1 subgroup), "pair-blocks" (all
-    blocks of size 2), "corank-one" (block sizes (r-1, 1))."""
+    (the Borel of the upper-left rank r-1 subgroup), "corank-one" (block
+    sizes (r-1, 1))."""
     if not isinstance(partition, Partition):
         partition = Partition(partition)
     lam = partition.padded(r)
@@ -377,10 +385,6 @@ def modulus_exponent(group: str, partition, r: int) -> int:
         blocks = (1,) * r
     elif group == "borel-sub":
         lam, blocks = lam[: r - 1], (1,) * (r - 1)
-    elif group == "pair-blocks":
-        if r % 2:
-            raise DomainError("pair blocks need even rank")
-        blocks = (2,) * (r // 2)
     elif group == "corank-one":
         if r < 2:
             raise DomainError("corank-one parabolic needs rank at least 2")
@@ -400,24 +404,7 @@ def modulus_exponent(group: str, partition, r: int) -> int:
     return e
 
 
-# Whittaker and semi-Whittaker values -------------------------------------------
-
-
-def shintani_whittaker(vector, sat: SatakeData) -> QPower:
-    """The spherical Whittaker value at the torus point with valuation
-    vector `vector` (length r, last entry 0 since the center is removed):
-    delta_B^{1/2} times the Schur value on the dominant cone, 0 off it."""
-    vector = tuple(int(x) for x in vector)
-    if len(vector) != sat.r:
-        raise PreconditionError(f"need a length-{sat.r} vector")
-    dominant = all(x >= y for x, y in zip(vector, vector[1:]))
-    if not dominant:
-        return QPower(0)
-    if vector[-1] != 0:
-        raise PreconditionError("normalize the last entry to 0 (center removed)")
-    partition = Partition(vector)
-    e = modulus_exponent("borel", partition, sat.r)
-    return QPower(schur_jt(partition, sat.alphas), Fraction(-e, 2))
+# semi-Whittaker values ------------------------------------------------------------
 
 
 def toral_q_values(partition, sat: SatakeData, chi_sqrt_val=None, omega_val=None):
@@ -551,7 +538,7 @@ def toral_series(sat: SatakeData, degree: int, chi_sqrt_val=None) -> tuple:
         for lam in even_dominant_partitions(m, r - 1):
             e_b = modulus_exponent("borel", lam, r)
             e_q = modulus_exponent("corank-one", lam, r)
-            # the Whittaker value, as shintani_whittaker gives it
+            # the spherical Whittaker value delta_B^{1/2} s_lambda(alphas)
             w = QPower(Fraction(_jacobi_trudi(lam.parts, h), scale), Fraction(-e_b, 2))
             q_val, q_prime_val = toral_q_values(lam, sat, chi_sqrt_val, omega)
             term = (
@@ -584,24 +571,6 @@ def unramified_zeta_check(sat: SatakeData, degree: int = 10, chi_sqrt_val=None) 
 # Tate factors and intertwiner ratios --------------------------------------------------
 
 
-class PoleMarker:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "POLE"
-
-
-class ZeroMarker:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO"
-
-
-POLE = PoleMarker()
-ZERO = ZeroMarker()
-
-
 def _is_exact_q_power(val: Fraction, q: int, exponent: Fraction) -> bool:
     if val <= 0:
         return False
@@ -609,61 +578,39 @@ def _is_exact_q_power(val: Fraction, q: int, exponent: Fraction) -> bool:
     return val**b == Fraction(q) ** a
 
 
-class TateFactor(Frozen):
-    """The local factor s -> (1 - chi_val q^{-(s + shift)})^{-1}, or the
-    constant 1 when the character is ramified. Evaluation at exact s
-    detects poles exactly."""
-
-    __slots__ = ("chi_val", "shift", "q")
-
-    def __init__(self, chi_val, shift, q: int):
-        if chi_val != RAMIFIED:
-            chi_val = as_fraction(chi_val)
-            if chi_val == 0:
-                raise DomainError("character value must be nonzero")
-        object.__setattr__(self, "chi_val", chi_val)
-        object.__setattr__(self, "shift", as_fraction(shift))
-        object.__setattr__(self, "q", int(q))
-
-    def is_ramified(self) -> bool:
-        return self.chi_val == RAMIFIED
-
-    def at(self, s):
-        """The value at exact s: a Fraction (or float for non-integral
-        exponents), or the POLE marker."""
-        if self.is_ramified():
-            return Fraction(1)
-        arg = as_fraction(s) + self.shift
-        if _is_exact_q_power(self.chi_val, self.q, arg):
-            return POLE
-        if arg.denominator == 1:
-            return 1 / (1 - self.chi_val * Fraction(self.q) ** (-arg))
-        return 1.0 / (1.0 - float(self.chi_val) * float(self.q) ** float(-arg))
+def _tate_value(c, z: Fraction, q: int):
+    """The Tate factor (1 - c q^{-z})^{-1} at exact z: 1 when c is RAMIFIED,
+    POLE where c = q^z exactly, a Fraction at an integral z and a float
+    otherwise."""
+    if c == RAMIFIED:
+        return Fraction(1)
+    if _is_exact_q_power(c, q, z):
+        return POLE
+    if z.denominator == 1:
+        return 1 / (1 - c * Fraction(q) ** (-z))
+    return 1.0 / (1.0 - float(c) * float(q) ** float(-z))
 
 
-def tate_factor_ratio(kind: str, r: int, q_blocks: int, s, twisted_char_val, q: int):
+def tate_factor_ratio(r: int, s, c, q: int):
     """The normalizing ratio of Tate factors attached to the spherical
     section of the rank-r intertwining operator:
 
-        L(r(2s + 1/2) - r + 1, c) / L(r(2s + q_blocks + 1/2), c)
+        L(r(2s + 1/2) - r + 1, c) / L(r(2s + r // 2 + 1/2), c)
 
     where c is the relevant twisted character value (the square-inverse
-    character for even rank r = 2 q_blocks, its chi-twist for odd rank
-    r = 2 q_blocks + 1; pass the composite's value at a uniformizer, or
-    the ramified marker). Returns an exact value, or POLE/ZERO markers
-    when the numerator/denominator factor is singular."""
-    if kind == "even":
-        if r != 2 * q_blocks:
-            raise DomainError("even kind needs r = 2 * q_blocks")
-    elif kind == "odd":
-        if r != 2 * q_blocks + 1:
-            raise DomainError("odd kind needs r = 2 * q_blocks + 1")
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    s = as_fraction(s)
-    factor = TateFactor(twisted_char_val, 0, q)
-    num = factor.at(r * (2 * s + Fraction(1, 2)) - r + 1)
-    den = factor.at(r * (2 * s + q_blocks + Fraction(1, 2)))
+    character for even rank, its chi-twist for odd rank; pass the
+    composite's value at a uniformizer, or RAMIFIED). Returns an exact
+    value, or POLE/ZERO when the numerator/denominator factor is
+    singular."""
+    if r < 1:
+        raise DomainError("rank must be positive")
+    if c != RAMIFIED:
+        c = as_fraction(c)
+        if c == 0:
+            raise DomainError("character value must be nonzero")
+    s, q = as_fraction(s), int(q)
+    num = _tate_value(c, r * (2 * s + Fraction(1, 2)) - r + 1, q)
+    den = _tate_value(c, r * (2 * s + r // 2 + Fraction(1, 2)), q)
     if num is POLE:
         return POLE
     if den is POLE:

@@ -16,7 +16,6 @@ CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_ac
 # names without a library caller yet, each with the ROADMAP item that gives it one
 WAITING = {
     "borel_sign": "item 12: a weilrep/kubota-coboundary suite row",
-    "shintani_whittaker": "item 10: the zeta check's oracle moves into the tests",
 }
 
 

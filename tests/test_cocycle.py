@@ -578,13 +578,10 @@ def test_unramified_character_values():
     assert chi.value(5) == Fraction(3, 2)
     assert chi.value(Fraction(2, 25)) == Fraction(4, 9)
     assert chi.value(-5) == Fraction(3, 2)  # units (including -1) are invisible
-    sgn = UnramifiedCharacter(REAL, sign_exponent=1)
-    assert sgn.value(-2) == -1
-    assert sgn.value(Fraction(1, 3)) == 1
-    triv = UnramifiedCharacter(REAL)
-    assert triv.value(-2) == 1
+    with pytest.raises(DomainError, match="finite place"):
+        UnramifiedCharacter(REAL, Fraction(1))
     with pytest.raises(DomainError):
-        UnramifiedCharacter(Place.finite(5))
+        UnramifiedCharacter(Place.finite(5), 0)
     with pytest.raises(DomainError):
         chi.value(0)
 

@@ -26,7 +26,6 @@ from metaplectic.symsq import (
     Partition,
     QPower,
     SatakeData,
-    TateFactor,
     euler_product,
     even_dominant_partitions,
     even_partition_gf,
@@ -39,7 +38,6 @@ from metaplectic.symsq import (
     schur_jt,
     schur_tableau_oracle,
     _bareiss_det,
-    shintani_whittaker,
     sym_square_series,
     tate_factor_ratio,
     toral_q_values,
@@ -238,8 +236,6 @@ def test_modulus_exponent_frozen():
     assert modulus_exponent("borel-sub", (2, 0, 0), 3) == 2
     assert modulus_exponent("borel-sub", (2, 2, 0), 3) == 0
     with pytest.raises(DomainError):
-        modulus_exponent("pair-blocks", (1, 0, 0), 3)
-    with pytest.raises(DomainError):
         modulus_exponent("mystery", (1, 0), 2)
 
 
@@ -266,7 +262,6 @@ def test_modulus_exponent_against_conjugation_oracle():
         ("borel", (1,) * 3, (1, 0, 0), 2),
         ("borel", (1,) * 3, (2, 1, 0), 2),
         ("corank-one", (2, 1), (1, 1, 0), 3),
-        ("pair-blocks", (2, 2), (1, 1, 0, 0), 2),
     ]
     for group, blocks, lam, p in cases:
         r = sum(blocks)
@@ -275,21 +270,7 @@ def test_modulus_exponent_against_conjugation_oracle():
         ), (group, lam)
 
 
-# Whittaker values -----------------------------------------------------------
-
-
-def test_shintani_values():
-    sat = SatakeData(2, [Fraction(2), Fraction(5)], 3)
-    w = shintani_whittaker((1, 0), sat)
-    assert w == QPower(7, Fraction(-1, 2))
-    assert shintani_whittaker((0, 0), sat) == QPower(1)
-    assert shintani_whittaker((0, 1), sat).is_zero()
-    sat3 = SatakeData(3, [1, 1, 1], 5)
-    assert shintani_whittaker((1, 2, 0), sat3).is_zero()
-    with pytest.raises(PreconditionError):
-        shintani_whittaker((2, 1), sat)  # dominant but not center-normalized
-    with pytest.raises(PreconditionError):
-        shintani_whittaker((1, 0, 0), sat)
+# semi-Whittaker values -----------------------------------------------------
 
 
 def test_toral_q_values():
@@ -410,41 +391,70 @@ def test_zeta_check_rejects_ramified():
 
 
 def test_tate_factor_values():
-    t = TateFactor(1, 0, 5)
-    assert t.at(0) is POLE
-    assert t.at(1) == Fraction(5, 4)
-    assert t.at(2) == Fraction(25, 24)
-    ram = TateFactor(RAMIFIED, 0, 5)
-    assert ram.at(0) == 1 and ram.is_ramified()
-    # a character value equal to q moves the pole to s = 1
-    shifted = TateFactor(5, 0, 5)
-    assert shifted.at(1) is POLE
-    assert shifted.at(0) == Fraction(-1, 4)
-    assert shifted.at(2) == Fraction(5, 4)
+    tate = symsq._tate_value
+    assert tate(Fraction(1), Fraction(0), 5) is POLE
+    assert tate(Fraction(1), Fraction(1), 5) == Fraction(5, 4)
+    assert tate(Fraction(1), Fraction(2), 5) == Fraction(25, 24)
+    assert tate(RAMIFIED, Fraction(0), 5) == 1
+    # a character value equal to q moves the pole to z = 1
+    assert tate(Fraction(5), Fraction(1), 5) is POLE
+    assert tate(Fraction(5), Fraction(0), 5) == Fraction(-1, 4)
+    assert tate(Fraction(5), Fraction(2), 5) == Fraction(5, 4)
     # exact q-power detection at fractional arguments
-    assert TateFactor(8, 0, 2).at(3) is POLE
-    assert TateFactor(Fraction(1, 2), 0, 2).at(-1) is POLE
-    assert isinstance(TateFactor(1, 0, 5).at(Fraction(1, 2)), float)
-    with pytest.raises(DomainError):
-        TateFactor(0, 0, 5)
+    assert tate(Fraction(8), Fraction(3), 2) is POLE
+    assert tate(Fraction(1, 2), Fraction(-1), 2) is POLE
+    assert isinstance(tate(Fraction(1), Fraction(1, 2), 5), float)
 
 
 def test_tate_factor_ratio_frozen():
-    assert tate_factor_ratio("even", 2, 1, Fraction(1, 4), 1, 3) == Fraction(40, 27)
-    assert tate_factor_ratio("even", 2, 1, 0, 1, 3) is POLE
-    assert tate_factor_ratio("even", 2, 1, Fraction(-3, 4), 1, 5) is ZERO
-    assert tate_factor_ratio("odd", 3, 1, Fraction(1, 3), RAMIFIED, 7) == 1
-    # odd kind, trivial composite character, generic s: plain ratio
-    val = tate_factor_ratio("odd", 3, 1, Fraction(1, 2), 1, 2)
-    num = TateFactor(1, 0, 2).at(3 * (2 * Fraction(1, 2) + Fraction(1, 2)) - 2)
-    den = TateFactor(1, 0, 2).at(3 * (2 * Fraction(1, 2) + 1 + Fraction(1, 2)))
+    assert tate_factor_ratio(2, Fraction(1, 4), 1, 3) == Fraction(40, 27)
+    assert tate_factor_ratio(2, 0, 1, 3) is POLE
+    assert tate_factor_ratio(2, Fraction(-3, 4), 1, 5) is ZERO
+    assert tate_factor_ratio(3, Fraction(1, 3), RAMIFIED, 7) == 1
+    # odd rank, trivial composite character, generic s: plain ratio
+    val = tate_factor_ratio(3, Fraction(1, 2), 1, 2)
+    num = symsq._tate_value(Fraction(1), 3 * (2 * Fraction(1, 2) + Fraction(1, 2)) - 2, 2)
+    den = symsq._tate_value(Fraction(1), 3 * (2 * Fraction(1, 2) + 1 + Fraction(1, 2)), 2)
     assert val == num / den
     with pytest.raises(DomainError):
-        tate_factor_ratio("even", 3, 1, 0, 1, 5)
+        tate_factor_ratio(0, 0, 1, 5)
     with pytest.raises(DomainError):
-        tate_factor_ratio("odd", 4, 1, 0, 1, 5)
-    with pytest.raises(DomainError):
-        tate_factor_ratio("sideways", 2, 1, 0, 1, 5)
+        tate_factor_ratio(2, 0, 0, 5)
+
+
+def _tate_oracle(c, z, q):
+    """(1 - c q^(-z))^(-1) at rational z, or None where it is singular. For
+    c in {1, 2, 1/3, 5}, log_q(c) is an integer or irrational, so only an
+    integral z can make the factor singular."""
+    if c == RAMIFIED:
+        return Fraction(1)
+    if z.denominator == 1:
+        x = c * Fraction(q) ** (-z)
+        return None if x == 1 else 1 / (1 - x)
+    return 1.0 / (1.0 - float(c) * float(q) ** float(-z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 16),
+    s=st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    c=st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5), RAMIFIED]),
+    q=st.sampled_from([2, 3, 5]),
+)
+@example(r=2, s=Fraction(0), c=Fraction(1), q=3)
+@example(r=2, s=Fraction(-3, 4), c=Fraction(1), q=5)
+@example(r=4, s=Fraction(1, 8), c=Fraction(1), q=3)
+@example(r=3, s=Fraction(1, 12), c=Fraction(1), q=2)
+def test_tate_factor_ratio_is_the_tate_quotient(r, s, c, q):
+    num = _tate_oracle(c, r * (2 * s + Fraction(1, 2)) - r + 1, q)
+    den = _tate_oracle(c, r * (2 * s + r // 2 + Fraction(1, 2)), q)
+    got = tate_factor_ratio(r, s, c, q)
+    if num is None:
+        assert got == POLE
+    elif den is None:
+        assert got == ZERO
+    else:
+        assert got == num / den
 
 
 def test_pole_report():
@@ -466,7 +476,7 @@ def test_ratio_pole_location_matches_report_at_rank_two():
     # normalized induction), and the two agree exactly at rank 2.
     r = 2
     s_star = Fraction(r - 2, 4 * r)
-    assert tate_factor_ratio("even", r, r // 2, s_star, 1, 5) is POLE
+    assert tate_factor_ratio(r, s_star, 1, 5) is POLE
     assert s_star + Fraction(1, 4) in pole_report(r, True).normalizer_poles
 
 

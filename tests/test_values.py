@@ -20,7 +20,6 @@ FACTORIES = {
     "LocalFactor": lambda: symsq.LocalFactor([1, -2, Fraction(1, 4)]),
     "QPower": lambda: symsq.QPower(2, Fraction(1, 2), -1),
     "SatakeData": lambda: symsq.SatakeData(2, [1, Fraction(2, 3)], 7),
-    "TateFactor": lambda: symsq.TateFactor(2, Fraction(1, 2), 7),
     "UnramifiedCharacter": lambda: cocycle.UnramifiedCharacter(Place.finite(5), 2),
     "FiniteWeilModel": lambda: weil_rep.build_model(3, 1),
 }
