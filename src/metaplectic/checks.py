@@ -437,16 +437,13 @@ def _suite_sl2(rng, p: int, big_n: int):
 
 def weilrep_suite(p: int = 3, big_n: int = 1):
     from .cocycle import UnramifiedCharacter
-    from .weil_index import mu
     from .weil_rep import (
         _DENSE_SIZE_CAP,
-        _actions_agree,
-        _Monomial,
         build_model,
+        central_word_check,
         check_model_size,
         twist_intertwiner_check,
         whittaker_functional_exists,
-        word_action,
     )
 
     # Each multiplier check streams O(M^2) work, so past the dense cap the
@@ -462,16 +459,7 @@ def weilrep_suite(p: int = 3, big_n: int = 1):
         return 0, bad if checked == 20 else 99
 
     def central_scalar(rng):
-        import numpy as np
-
-        bad = 0
-        for a in (1, 2, -1, 4):
-            # the central letter against the scalar times the identity
-            act = word_action(model, [("central", a)], chi=chi)
-            want = complex(chi.value(a)) * mu(a, model.psi).value()
-            if not _actions_agree(model, act, _Monomial(want, np.arange(model.size))):
-                bad += 1
-        return 0, bad
+        return 0, sum(not central_word_check(model, a, chi) for a in (1, 2, -1, 4))
 
     def whittaker(rng):
         expect = [True, True, False, False]
@@ -498,7 +486,7 @@ def weilrep_suite(p: int = 3, big_n: int = 1):
     ]
 
 
-def _random_sat(rng, r, q=7, chi=Fraction(1)):
+def _random_sat(rng, r, chi=Fraction(1)):
     from .symsq import SatakeData
 
     alphas = []
@@ -507,7 +495,7 @@ def _random_sat(rng, r, q=7, chi=Fraction(1)):
         if rng.random() < 0.3:
             a = -a
         alphas.append(a)
-    return SatakeData(r, alphas, q, chi_val=chi)
+    return SatakeData(r, alphas, 7, chi_val=chi)
 
 
 def symsq_suite():

@@ -228,9 +228,8 @@ def run_cases(suite_name, cases, timings=False, case_filter=None):
     return {"suite": suite_name, "cases": rows, "summary": _summary(rows)}
 
 
-def print_report(report, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    print(f"suite: {report['suite']}", file=stream)
+def print_report(report):
+    print(f"suite: {report['suite']}")
     for row in report["cases"]:
         mark = {"pass": "ok", "fail": "FAIL", "error": "ERROR", "skipped": "skip"}[
             row["status"]
@@ -240,13 +239,9 @@ def print_report(report, stream=None):
             line += f" | expected {row['expected']!r} got {row['got']!r}"
         if row["elapsed"] is not None:
             line += f" ({row['elapsed']} ms)"
-        print(line, file=stream)
+        print(line)
     s = report["summary"]
-    print(
-        f"  {s['pass']} passed, {s['fail']} failed, {s['error']} errors"
-        f" of {s['total']}",
-        file=stream,
-    )
+    print(f"  {s['pass']} passed, {s['fail']} failed, {s['error']} errors of {s['total']}")
 
 
 # suites -----------------------------------------------------------------------

@@ -646,8 +646,8 @@ def euler_product(sats, s) -> complex:
     """The partial product over the listed local data of the inverse
     symmetric-square polynomial at q^{-s}. Raises ConvergenceDomainError
     if any local polynomial's largest coefficient scale reaches the unit
-    circle (abscissa check), and DomainError if s or q^{-s} is past the
-    float range."""
+    circle (abscissa check), and DomainError if s, q^{-s} or a local
+    factor's coefficients are past the float range."""
     try:
         minus_s = complex(-s)
     except OverflowError:
@@ -662,14 +662,19 @@ def euler_product(sats, s) -> complex:
             raise DomainError(
                 f"q^(-s) at q={sat.q}, s={shown(s)} is past the float range"
             ) from None
-        scale = max(
-            abs(complex(sat.chi_val * a * b))
-            for a in sat.alphas
-            for b in sat.alphas
-        )
-        if scale * abs(x) >= 1:
-            raise ConvergenceDomainError(
-                f"local factor at q={sat.q} is outside the convergence domain"
+        try:
+            scale = max(
+                abs(complex(sat.chi_val * a * b))
+                for a in sat.alphas
+                for b in sat.alphas
             )
-        out *= 1 / complex(local_factors(sat).sym.evaluate(x))
+            if scale * abs(x) >= 1:
+                raise ConvergenceDomainError(
+                    f"local factor at q={sat.q} is outside the convergence domain"
+                )
+            out *= 1 / complex(local_factors(sat).sym.evaluate(x))
+        except OverflowError:
+            raise DomainError(
+                f"local factor at q={sat.q} is past the float range"
+            ) from None
     return out

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import DomainError, OracleConsistencyError, shown
 from .local_arith import (
     Place,
     Value,
-    _split,
     as_fraction,
     hilbert,
     square_class,
@@ -62,9 +60,6 @@ class EighthRoot(Value):
     def inverse(self) -> "EighthRoot":
         return EighthRoot(-self.exponent)
 
-    def __pow__(self, n: int) -> "EighthRoot":
-        return EighthRoot(self.exponent * n)
-
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * self.exponent / 4)
 
@@ -82,8 +77,7 @@ class AdditiveCharacter(Value):
     """psi_a at a fixed place: the standard character composed with x -> a*x.
 
     ``place`` must be real or an odd finite prime; ``scale`` is the nonzero
-    rational a. ``phase`` returns the exact argument of psi_a(x) as a
-    Fraction mod 1, so downstream identity checks can stay exact.
+    rational a.
     """
 
     __slots__ = ("place", "scale")
@@ -99,25 +93,6 @@ class AdditiveCharacter(Value):
 
     def twist(self, a) -> "AdditiveCharacter":
         return AdditiveCharacter(self.place, self.scale * as_fraction(a))
-
-    def phase(self, x) -> Fraction:
-        """Exact phase of psi(scale * x) as a Fraction in [0, 1)."""
-        y = self.scale * as_fraction(x)
-        if y == 0:
-            return Fraction(0)
-        if self.place.is_real:
-            return y - (y.numerator // y.denominator)
-        # the place has certified p, so no second primality test
-        p = self.place.p
-        v, num, den = _split(y, p)
-        if v >= 0:
-            return Fraction(0)
-        pk = p ** (-v)
-        c = (num * pow(den, -1, pk)) % pk
-        return Fraction(c, pk)
-
-    def value(self, x) -> complex:
-        return cmath.exp(2j * math.pi * float(self.phase(x)))
 
     def __repr__(self):
         return f"AdditiveCharacter({self.place!r}, scale={self.scale})"

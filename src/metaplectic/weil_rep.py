@@ -29,15 +29,18 @@ raise PreconditionError, never wrap around silently.
 Operators are actions on blocks of columns, not stored matrices. A word is
 a list of stages: every letter but w is one monomial (a gather of carrier
 indices times a per-point scale), w is an inverse FFT and then a monomial,
-and neighbouring monomials are fused in O(M), M = p^(2N). Two monomial
-sides are compared in O(M); a chain monomial -> Fourier -> monomial with a
-bijective head is built in closed form from the M-th roots of unity, O(M^2)
-gathers. Only past the first Fourier stage, or behind a head that is not a
-bijection, does a check run the FFT, O(M^2 log M). Columns are built in
-blocks of B = max(1, 2^13 // M), under 128 KiB each up to M = 2^13, so
-memory is O(M B). The dense matrix of a letter (operator) or of a word
-(op_of_word) is its action applied to the whole identity, built only on
-request and only up to M = 2500 carrier points (100 MB per matrix).
+and neighbouring monomials are fused in O(M), M = p^(2N). Every check
+compares two actions through one residual, max |A - c B| with max |A|.
+Two monomial sides are compared in O(M); a chain monomial -> Fourier ->
+monomial with a bijective head is built in closed form from the M-th roots
+of unity, O(M^2) gathers. Only past the first Fourier stage, or behind a
+head that is not a bijection, does a check run the FFT, O(M^2 log M).
+Columns are built in blocks of B = max(1, 2^13 // M), under 128 KiB each
+up to M = 2^13, so memory is O(M B). Every letter fixes carrier index 0,
+so the multiplier c is read off column 0 of op(gh). The dense matrix of a
+letter (operator) or of a word (op_of_word) is its action applied to the
+whole identity, built only on request and only up to M = 2500 carrier
+points (100 MB per matrix).
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .local_arith import (
     hilbert,
     is_prime,
     same_square_class,
-    valuation_and_unit,
 )
 from .weil_index import AdditiveCharacter, gamma, mu
 
@@ -161,17 +163,11 @@ def check_model_size(p: int, N: int, cap: int):
     )
 
 
-def build_model(p: int, N: int, scale=1) -> FiniteWeilModel:
-    """Model constructor; odd prime p, window depth N >= 1, unit scale."""
+def build_model(p: int, N: int) -> FiniteWeilModel:
+    """Model constructor for the standard character; odd prime p, window
+    depth N >= 1."""
     check_model_size(p, N, _MODEL_SIZE_CAP)
-    scale = as_fraction(scale)
-    place = Place.finite(p)
-    v, _ = valuation_and_unit(scale, p)
-    if v != 0:
-        raise PreconditionError(
-            "character scale must be a unit; twist the model, not the lattice"
-        )
-    return FiniteWeilModel(p, N, AdditiveCharacter(place, scale))
+    return FiniteWeilModel(p, N, AdditiveCharacter(Place.finite(p)))
 
 
 # generator operators -----------------------------------------------------
@@ -361,25 +357,33 @@ def _column_source(model: FiniteWeilModel, act):
     return columns
 
 
+def _residual(model: FiniteWeilModel, lhs: _Action, rhs: _Action, c) -> tuple:
+    """(max |A - c B|, max |A|) over every entry of the matrices A and B of
+    two actions, in one pass. Two monomials are compared in O(M), anything
+    else block by block on identity columns."""
+    a, b = _single_monomial(lhs), _single_monomial(rhs)
+    if a is not None and b is not None:
+        return _monomial_residual(a, b, c), float(np.max(np.abs(a.scale)))
+    left, right = _column_source(model, lhs), _column_source(model, rhs)
+    resid = top = 0.0
+    for cols in _column_blocks(model.size):
+        block = left(cols)
+        resid = max(resid, float(np.max(np.abs(block - c * right(cols)))))
+        top = max(top, float(np.max(np.abs(block))))
+    return resid, top
+
+
 def _actions_agree(model: FiniteWeilModel, lhs, rhs, perm=None) -> bool:
     """Whether two actions have the same matrix within OP_TOL. With a
     permutation perm of the carrier, lhs's matrix is compared after gathering
-    rows and columns by perm. Two monomials are compared in O(M), anything
-    else block by block on identity columns."""
+    rows and columns by perm."""
     lhs, rhs = _chain(lhs), _chain(rhs)
     if perm is not None:
         # P A P^-1 with (P X)[r] = X[perm[r]] has entries A[perm[r], perm[c]]
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(model.size)
         lhs = _chain(_Monomial(1.0, inverse), lhs, _Monomial(1.0, perm))
-    a, b = _single_monomial(lhs), _single_monomial(rhs)
-    if a is not None and b is not None:
-        return _monomial_residual(a, b) < OP_TOL
-    left, right = _column_source(model, lhs), _column_source(model, rhs)
-    for cols in _column_blocks(model.size):
-        if np.max(np.abs(left(cols) - right(cols))) >= OP_TOL:
-            return False
-    return True
+    return _residual(model, lhs, rhs, 1.0)[0] < OP_TOL
 
 
 def operator(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False) -> np.ndarray:
@@ -447,45 +451,27 @@ def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     """The scalar c with op(g) op(h) = c op(gh), for the canonical words.
 
     The words of g, h and gh are validated first, in that order; op(g) op(h)
-    is then h's stages followed by g's, fused as one action. c is read off
-    the largest entry of op(gh) among the first block of identity columns,
-    and every entry of both sides is compared against it: raises
-    ModelInconsistencyError if the largest residual |op(g)op(h) - c op(gh)|
-    exceeds 1e-6 max(1, max |op(g)op(h)|). Two monomial sides are compared
-    in O(M); otherwise both sides are built over identity column blocks,
-    so memory is O(M B) for blocks of B columns and no M x M array is built.
+    is then h's stages followed by g's, fused as one action. Every letter
+    fixes carrier index 0 and every word is invertible, so column 0 of
+    op(gh) is never zero: c is read off its largest entry, and every entry
+    of both sides is compared against it. Raises ModelInconsistencyError if
+    the largest residual |op(g)op(h) - c op(gh)| exceeds
+    1e-6 max(1, max |op(g)op(h)|). Two monomial sides are compared in O(M);
+    otherwise both sides are built over identity column blocks, so memory
+    is O(M B) for blocks of B columns and no M x M array is built.
     """
     act_g = word_action(model, canonical_word(g), chi=chi, extended=True)
     act_h = word_action(model, canonical_word(h), chi=chi, extended=True)
     act_gh = word_action(model, canonical_word(g.compose(h)), chi=chi, extended=True)
     act_prod = _chain(act_h, act_g)
-    prod, ogh = _single_monomial(act_prod), _single_monomial(act_gh)
-    if prod is not None and ogh is not None:
-        # row r of op(gh) has its one entry in column ogh.index[r]; the first
-        # block holds the rows whose column is in it, and argmax, as on a
-        # block, takes the first of equal entries
-        width = max(1, _BLOCK_ENTRIES // model.size)
-        first = np.where(ogh.index < width, np.abs(ogh.scale), 0.0)
-        r = int(np.argmax(first))
-        if first[r] < OP_TOL:
-            raise ModelInconsistencyError("product word operator vanished")
-        c = (prod.scale[r] if prod.index[r] == ogh.index[r] else 0j) / ogh.scale[r]
-        resid = _monomial_residual(prod, ogh, c)
-        top = float(np.max(np.abs(prod.scale)))
-    else:
-        prod_columns = _column_source(model, act_prod)
-        gh_columns = _column_source(model, act_gh)
-        c = None
-        resid = top = 0.0
-        for cols in _column_blocks(model.size):
-            prod, ogh = prod_columns(cols), gh_columns(cols)
-            if c is None:
-                k = np.unravel_index(np.argmax(np.abs(ogh)), ogh.shape)
-                if abs(ogh[k]) < OP_TOL:
-                    raise ModelInconsistencyError("product word operator vanished")
-                c = prod[k] / ogh[k]
-            resid = max(resid, float(np.max(np.abs(prod - c * ogh))))
-            top = max(top, float(np.max(np.abs(prod))))
+    first = np.zeros(1, dtype=np.int64)
+    prod = _column_source(model, act_prod)(first)[:, 0]
+    ogh = _column_source(model, act_gh)(first)[:, 0]
+    r = int(np.argmax(np.abs(ogh)))
+    if abs(ogh[r]) < OP_TOL:
+        raise ModelInconsistencyError("product word operator vanished")
+    c = prod[r] / ogh[r]
+    resid, top = _residual(model, act_prod, act_gh, c)
     if resid > 1e-6 * max(1.0, top):
         raise ModelInconsistencyError(
             f"operators are not proportional: residual {resid}"
@@ -523,12 +509,14 @@ def whittaker_functional_exists(model: FiniteWeilModel, a) -> bool:
 
 
 def central_word_check(model: FiniteWeilModel, a, chi) -> bool:
-    """The word t(a) d(a) (torus then square-torus with parameter a) lands
-    on the central scalar chi(a) mu(a) with multiplier exactly +1."""
+    """The word t(a) d(a) (torus then square-torus with parameter a) and the
+    central letter both act as the scalar chi(a) mu(a) times the identity."""
     a = as_fraction(a)
     word = word_action(model, [("t", a), ("d", a)], chi=chi)
-    direct = _letter(model, ("central", a), chi_value=chi.value(a))
-    return _actions_agree(model, word, direct)
+    value = chi.value(a)
+    central = _letter(model, ("central", a), chi_value=value)
+    scalar = _Monomial(complex(value) * mu(a, model.psi).value(), np.arange(model.size))
+    return _actions_agree(model, word, scalar) and _actions_agree(model, central, scalar)
 
 
 # twisting ------------------------------------------------------------------

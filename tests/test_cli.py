@@ -521,6 +521,17 @@ def test_euler_past_the_float_range_is_a_domain_error(s, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "past the float range" in err
 
 
+# the first table overflows in the convergence scale chi a b; the second in
+# the local polynomial's coefficients, once q^(-s) has underflowed to 0
+@pytest.mark.parametrize("alphas, s", [(["1" + "0" * 400], "2"), (["1" + "0" * 150] * 2, "10000")])
+def test_euler_local_factor_past_the_float_range_is_a_domain_error(alphas, s, tmp_path, capsys):
+    path = _write(tmp_path, "big.json", json.dumps([{"p": 7, "alphas": alphas}]))
+    assert main(["euler", "--table", path, "--s", s]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines() == ["error: local factor at q=7 is past the float range"]
+
+
 # each option that takes a rational, with a value that starts with a minus sign
 EQUALS_FORM = [
     ["hilbert", "-a=-1/2", "-b", "3", "--place", "3"],

@@ -405,11 +405,9 @@ def test_certified_primes_are_not_tested_again(monkeypatch):
     # a Place, a model and prime_factors each certify their prime once; the
     # callers below must not run Miller-Rabin on it again
     from metaplectic.cocycle import StructuredElement, UnramifiedCharacter, global_sigma_product
-    from metaplectic.weil_index import AdditiveCharacter
     from metaplectic.weil_rep import build_model, twist_intertwiner_check
 
     p = 1_000_000_007
-    psi = AdditiveCharacter(Place.finite(p), 1)
     chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=2)
     model = build_model(3, 2)
 
@@ -418,7 +416,6 @@ def test_certified_primes_are_not_tested_again(monkeypatch):
 
     monkeypatch.setattr(local_arith, "is_prime", refuse)
     x = Fraction(3, p * p)
-    assert psi.phase(x) == x
     assert chi.value(x) == Fraction(1, 4)
     assert reciprocity_product(Fraction(3 * 1000003, 7 * 999983), Fraction(-p, 11 * 1000033)) == 1
     torus = StructuredElement.torus

@@ -29,7 +29,7 @@ from metaplectic.errors import (
     UnsupportedDomainError,
 )
 from metaplectic.local_arith import Place, hilbert, square_class_rep, valuation_and_unit
-from metaplectic.weil_index import gamma, mu
+from metaplectic.weil_index import AdditiveCharacter, gamma, mu
 from metaplectic.weil_rep import (
     FiniteWeilModel,
     borel_sign,
@@ -53,6 +53,21 @@ def models():
     return [build_model(p, N) for p, N in MODELS]
 
 
+def scaled_model(p, N, scale):
+    """The model for the character psi_scale in place of the standard one."""
+    return FiniteWeilModel(p, N, AdditiveCharacter(Place.finite(p), scale))
+
+
+def psi(m, x):
+    """The model's character at x, e^(2 pi i {scale x}_p) with {y}_p the
+    p-power fractional part of y, written out apart from the library."""
+    y = m.psi.scale * Fraction(x)
+    pk = 1
+    while y.denominator % (pk * m.p) == 0:
+        pk *= m.p
+    return cmath.exp(2j * math.pi * (y.numerator * pow(y.denominator // pk, -1, pk) % pk) / pk)
+
+
 def snap_sign(c):
     for s in (1, -1):
         if abs(c - s) < 1e-6:
@@ -70,9 +85,7 @@ def test_build_model_validation():
         build_model(9, 1)
     with pytest.raises(DomainError):
         build_model(3, 0)
-    with pytest.raises(PreconditionError):
-        build_model(3, 1, scale=3)  # non-unit scale moves the lattice
-    m = build_model(3, 2, scale=Fraction(2, 5))
+    m = scaled_model(3, 2, Fraction(2, 5))
     assert m.size == 81 and m.point(3) == Fraction(1, 3)
 
 
@@ -418,7 +431,7 @@ def test_whittaker_eigen_property(p, N):
         op = operator(m, ("n", c))
         for b_index in (1, 2, m.size - 1, m.size // 2):
             b = Fraction(b_index, p**N)
-            expect = cmath.exp(2j * math.pi * float(m.psi.phase(c * b * b)))
+            expect = psi(m, c * b * b)
             row = np.zeros(m.size, dtype=np.complex128)
             row[b_index] = expect
             assert np.max(np.abs(op[b_index] - row)) < 1e-12, (b_index, c)
@@ -458,7 +471,7 @@ WHITTAKER_TARGETS = [
 @pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_whittaker_functional_exists_matches_carrier_enumeration(p, N):
     for scale in (1, 2, -1, Fraction(3, 7) if p != 3 else Fraction(5, 7), Fraction(-2, 11)):
-        m = build_model(p, N, scale=scale)
+        m = scaled_model(p, N, scale)
         seen = carrier_square_classes(m)
         assert len(seen) == 1  # x^2 is a square, so only the scale's class
         for a in WHITTAKER_TARGETS:
@@ -554,7 +567,7 @@ def test_weyl_operator_value():
 # dense oracle --------------------------------------------------------------------
 #
 # The dense construction the library used before operators became actions,
-# rebuilt point by point from psi.phase and the explicit transform kernel
+# rebuilt point by point from the character psi and the explicit transform kernel
 # psi(2xy) p^-N. Carrier points and substitution indices are computed here
 # from Fractions, phases from Fraction arithmetic and products by dense
 # matmul: no FFT, no vectorised indices, nothing shared with the letters.
@@ -575,7 +588,7 @@ def carrier_index(m, x):
 def dense_fourier(m):
     pts = carrier_points(m)
     return np.array(
-        [[cmath.exp(2j * math.pi * float(m.psi.phase(2 * x * y))) for y in pts] for x in pts]
+        [[psi(m, 2 * x * y) for y in pts] for x in pts]
     ) * m.p ** (-m.N)
 
 
@@ -586,9 +599,7 @@ def dense_operator(m, gen, chi_value=None):
         return gamma(m.psi).value() * dense_fourier(m)
     if kind == "n":
         b = Fraction(gen[1])
-        return np.diag(
-            [cmath.exp(2j * math.pi * float(m.psi.phase(b * x * x))) for x in carrier_points(m)]
-        )
+        return np.diag([psi(m, b * x * x) for x in carrier_points(m)])
     if kind in ("t", "d"):
         a = Fraction(gen[1])
         v, _ = valuation_and_unit(a, p)
@@ -627,7 +638,7 @@ def _oracle_generators(p, N):
 
 @pytest.mark.parametrize("p,N", ORACLE_MODELS)
 def test_operator_matches_dense_oracle(p, N):
-    m = build_model(p, N, scale=Fraction(2, 5) if (p, N) == (3, 2) else 1)
+    m = scaled_model(p, N, Fraction(2, 5) if (p, N) == (3, 2) else 1)
     chi = UnramifiedCharacter(Place.finite(p), at_uniformizer=Fraction(3, 2))
     for gen in _oracle_generators(p, N):
         cv = chi.value(gen[1]) if gen[0] in ("d", "central") else None
@@ -833,6 +844,15 @@ def test_central_scalar_row_sees_a_last_block_corruption(monkeypatch):
     assert row(random.Random(0)) == (0, 4)
 
 
+def test_central_word_check_sees_a_torus_corruption(monkeypatch):
+    m = build_model(*STREAMED)
+    chi = UnramifiedCharacter(Place.finite(m.p), at_uniformizer=Fraction(3, 2))
+    assert central_word_check(m, 2, chi)
+    # the central letter stays exact, so only the word t(2) d(2) can fail
+    corrupt_letters(monkeypatch, "t", m.size - 1)
+    assert not central_word_check(m, 2, chi)
+
+
 # fused stages and the three check paths ----------------------------------------
 #
 # A word is a list of stages with neighbouring monomials fused. Two monomial
@@ -972,6 +992,48 @@ def test_lu_pair_runs_without_an_fft(monkeypatch):
     assert ffts == []
     assert abs(projective_multiplier(W, LOWER, m) - want[1]) < 1e-12
     assert ffts
+
+
+# column 0: the multiplier reads c there --------------------------------------
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (5, 2)])
+def test_every_letter_fixes_carrier_index_zero(p, N):
+    # so column 0 of every word's matrix is nonzero
+    m = build_model(p, N)
+    for gen in _oracle_generators(p, N) + [("n", 0)]:
+        letter = weil_rep._letter(m, gen, chi_value=Fraction(3, 2))
+        for stage in letter if isinstance(letter, weil_rep._Action) else (letter,):
+            if isinstance(stage, weil_rep._Monomial):
+                assert stage.index[0] == 0 and stage.scale[0] != 0, gen
+
+
+def test_multiplier_sees_a_column_zero_corruption(monkeypatch):
+    # op(h) E with E = I + e_j e_0^T / 2, j = M - 1, adds half of column j of
+    # op(g) op(h) to its column 0 and leaves every other column and op(gh)
+    # alone. For n(1) n(1), column 0 of op(gh) = n(2) has one entry, in row 0,
+    # so c read there is right and only column 0 of the residual differs
+    m = build_model(*STREAMED)
+    real = weil_rep.word_action
+
+    def add_to_last_row(X):
+        out = X.copy()
+        out[-1] += 0.5 * X[0]
+        return out
+
+    for g, h in [(sl2(1, 1, 0, 1), sl2(1, 1, 0, 1)), (LOWER, sl2(2, 1, 0, Fraction(1, 2)))]:
+        projective_multiplier(g, h, m)
+        calls = []
+
+        def h_bent(*args, **kwargs):
+            # the second word built is h's
+            calls.append(real(*args, **kwargs))
+            return weil_rep._chain(add_to_last_row, calls[-1]) if len(calls) == 2 else calls[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(weil_rep, "word_action", h_bent)
+            with pytest.raises(ModelInconsistencyError):
+                projective_multiplier(g, h, m)
 
 
 def test_dense_materialisers_stop_at_the_cap():
