@@ -16,6 +16,7 @@ too: its value at the uniformizer of a finite place.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, UnsupportedDomainError, shown
@@ -97,9 +98,22 @@ class MatrixBlock(Value):
         return f"MatrixBlock({[[shown(x) for x in r] for r in self.rows]})"
 
 
+def _cleared(m) -> tuple:
+    # the entries of a 2x2 block row by row as integers over one denominator d
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [x.numerator * (d // x.denominator) for row in m for x in row], d
+
+
 def _product(a, b) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+    """The 2x2 product a b of rational rows, exactly: each factor is cleared
+    to one denominator, the integer blocks are multiplied, and one Fraction
+    is built per entry."""
+    (a0, a1, a2, a3), da = _cleared(a)
+    (b0, b1, b2, b3), db = _cleared(b)
+    d = da * db
+    return (
+        (Fraction(a0 * b0 + a1 * b2, d), Fraction(a0 * b1 + a1 * b3, d)),
+        (Fraction(a2 * b0 + a3 * b2, d), Fraction(a2 * b1 + a3 * b3, d)),
     )
 
 

@@ -57,9 +57,6 @@ class EighthRoot(Value):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "EighthRoot":
-        return EighthRoot(-self.exponent)
-
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * self.exponent / 4)
 
@@ -187,6 +184,17 @@ def gauss_shell_oracle(p: int, a, shell_depth: int = 4) -> complex:
     return total / norm
 
 
+def _gamma_exponent(scale, place: Place) -> int:
+    # the exponent k mod 8 of gamma(psi_scale) = e^(i*pi*k/4), from the
+    # square class of the scale
+    c, p = square_class(scale, place), place.p
+    if p is None:
+        return 7 if c else 1
+    if not c & 1:  # even valuation
+        return 0
+    return (0 if p % 4 == 1 else 2) + (4 if c & 2 else 0)
+
+
 def gamma(psi: AdditiveCharacter) -> EighthRoot:
     """The Weil index of psi as an exact eighth root, in closed form.
 
@@ -195,21 +203,19 @@ def gamma(psi: AdditiveCharacter) -> EighthRoot:
     p = 1 mod 4 and i for p = 3 mod 4. The value depends only on the square
     class of a; the tests check it against ``gauss_shell_oracle``.
     """
-    c, p = square_class(psi.scale, psi.place), psi.place.p
-    if p is None:
-        return EighthRoot(7 if c else 1)
-    if not c & 1:  # even valuation
-        return EighthRoot(0)
-    return EighthRoot((0 if p % 4 == 1 else 2) + (4 if c & 2 else 0))
+    return EighthRoot(_gamma_exponent(psi.scale, psi.place))
 
 
 def mu(a, psi: AdditiveCharacter) -> EighthRoot:
     """mu_psi(a) = gamma(psi_a) / gamma(psi); depends only on the square
-    class of a."""
+    class of a. Computed as one difference of gamma's exponents mod 8, for
+    the scales s*a and s of psi."""
     a = as_fraction(a)
     if a == 0:
         raise DomainError("mu needs a nonzero argument")
-    return gamma(psi.twist(a)) * gamma(psi).inverse()
+    return EighthRoot(
+        _gamma_exponent(psi.scale * a, psi.place) - _gamma_exponent(psi.scale, psi.place)
+    )
 
 
 def mu_multiplicativity_check(a, b, psi: AdditiveCharacter) -> bool:

@@ -27,9 +27,10 @@ t-depth, since products of in-window generators land there. Violations
 raise PreconditionError, never wrap around silently.
 
 Operators are actions on blocks of columns, not stored matrices. A word is
-a list of stages: every letter but w is one monomial (a gather of carrier
-indices times a per-point scale), w is an inverse FFT and then a monomial,
-and neighbouring monomials are fused in O(M), M = p^(2N). Every check
+a list of stages: n(0) is the identity and has none, w is an inverse FFT
+and then a monomial, every other letter is one monomial (a gather of
+carrier indices times a per-point scale), and neighbouring monomials are
+fused in O(M), M = p^(2N). Every check
 compares two actions through one residual, max |A - c B| with max |A|.
 Two monomial sides are compared in O(M); a chain monomial -> Fourier ->
 monomial with a bijective head is built in closed form from the M-th roots
@@ -37,7 +38,9 @@ of unity, O(M^2) gathers. Only past the first Fourier stage, or behind a
 head that is not a bijection, does a check run the FFT, O(M^2 log M).
 Columns are built in blocks of B = max(1, 2^13 // M), under 128 KiB each
 up to M = 2^13, so memory is O(M B). Every letter fixes carrier index 0,
-so the multiplier c is read off column 0 of op(gh). The dense matrix of a
+so the multiplier c is read off column 0 of op(gh), and each side's column
+0 is its action on the unit vector e_0: O(M) per monomial stage and one
+single-column FFT per Fourier stage. The dense matrix of a
 letter (operator) or of a word (op_of_word) is its action applied to the
 whole identity, built only on request and only up to M = 2500 carrier
 points (100 MB per matrix).
@@ -98,9 +101,11 @@ class FiniteWeilModel(Frozen):
     (p, N, psi). The additive character must have unit scale so the kernel
     psi(2xy) is well defined pointwise on the carrier. ``roots`` holds
     exp(2 pi i r / M) for r = 0..M-1: every quadratic phase is one of them,
-    and so is every Fourier kernel entry up to the factor p^-N."""
+    and so is every Fourier kernel entry up to the factor p^-N. The carrier
+    indices 0..M-1 are built once, read-only, and shared by every letter
+    and substitution of the model."""
 
-    __slots__ = ("p", "N", "psi", "size", "place", "roots", "_fourier_index")
+    __slots__ = ("p", "N", "psi", "size", "place", "roots", "_indices", "_fourier_index")
 
     def __init__(self, p: int, N: int, psi: AdditiveCharacter):
         object.__setattr__(self, "p", p)
@@ -110,6 +115,8 @@ class FiniteWeilModel(Frozen):
         # the character's place, which has certified p already
         object.__setattr__(self, "place", psi.place)
         k = np.arange(self.size, dtype=np.int64)
+        k.flags.writeable = False
+        object.__setattr__(self, "_indices", k)
         object.__setattr__(self, "roots", np.exp(2j * np.pi * (k / self.size)))
         # psi(2 x_j x_k) = exp(2 pi i c2 j k / M) with c2 = 2 * scale mod M
         c2 = self._residue(2 * psi.scale)
@@ -121,7 +128,7 @@ class FiniteWeilModel(Frozen):
 
     def negate_indices(self) -> np.ndarray:
         """The index of -x_k, for every carrier index k."""
-        return -np.arange(self.size, dtype=np.int64) % self.size
+        return -self._indices % self.size
 
     def _residue(self, a: Fraction) -> int:
         """a mod M for a rational a with p-integral denominator."""
@@ -138,7 +145,7 @@ class FiniteWeilModel(Frozen):
             raise PreconditionError(
                 f"substitution by valuation {v} leaves the carrier"
             )
-        return self._residue(a) * np.arange(self.size, dtype=np.int64) % self.size
+        return self._residue(a) * self._indices % self.size
 
     def __repr__(self):
         return f"FiniteWeilModel(p={self.p}, N={self.N}, scale={self.psi.scale})"
@@ -229,10 +236,9 @@ def _chain(*actions) -> _Action:
 
 def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False):
     """One generator as its action X -> op(gen) X on a block of columns X of
-    shape (M, c): one monomial stage, or for w the Fourier stage and then one.
-    Arguments and windows are those of operator()."""
-    M, p, N = model.size, model.p, model.N
-    k = np.arange(M, dtype=np.int64)
+    shape (M, c): one monomial stage, for w the Fourier stage and then one,
+    and for n(0) no stage. Arguments and windows are those of operator()."""
+    M, p, N, k = model.size, model.p, model.N, model._indices
     kind = gen[0]
     if kind == "w":
         # the transform (F X)[k] = p^-N sum_j psi(2 x_j x_k) X[j], which is
@@ -242,7 +248,7 @@ def _letter(model: FiniteWeilModel, gen, chi_value=None, extended: bool = False)
     if kind == "n":
         b = as_fraction(gen[1])
         if b == 0:
-            return _Monomial(1.0, k)
+            return _Action(())  # n(0) is the identity: no stage
         v = _split(b, p)[0]
         hi = 2 * N - 2 if not extended else 4 * N - 4
         _check_window(v, 0, max(hi, 0), "quadratic phase")
@@ -333,12 +339,12 @@ def _column_source(model: FiniteWeilModel, act):
     s_head[k] / M times s_tail, with rows the tail's gather. Anything else is
     act applied to unit columns."""
     M = model.size
-    stages = (_Monomial(1.0, np.arange(M)), *act) if act and act[0] is _ifft else act
+    stages = (_Monomial(1.0, model._indices), *act) if act and act[0] is _ifft else act
     # int32 indices: (rows * k) < M^2 <= 2^28 under the model cap
     inverse = np.full(M, -1, dtype=np.int32)
     if (len(stages) == 3 and stages[1] is _ifft
             and isinstance(stages[0], _Monomial) and isinstance(stages[2], _Monomial)):
-        inverse[stages[0].index] = np.arange(M)
+        inverse[stages[0].index] = model._indices
     if inverse.min() < 0:
         return lambda cols: act(_unit_columns(M, cols))
     head, tail = stages[0], stages[2]
@@ -381,7 +387,7 @@ def _actions_agree(model: FiniteWeilModel, lhs, rhs, perm=None) -> bool:
     if perm is not None:
         # P A P^-1 with (P X)[r] = X[perm[r]] has entries A[perm[r], perm[c]]
         inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(model.size)
+        inverse[perm] = model._indices
         lhs = _chain(_Monomial(1.0, inverse), lhs, _Monomial(1.0, perm))
     return _residual(model, lhs, rhs, 1.0)[0] < OP_TOL
 
@@ -453,20 +459,21 @@ def projective_multiplier(g, h, model: FiniteWeilModel, chi=None) -> complex:
     The words of g, h and gh are validated first, in that order; op(g) op(h)
     is then h's stages followed by g's, fused as one action. Every letter
     fixes carrier index 0 and every word is invertible, so column 0 of
-    op(gh) is never zero: c is read off its largest entry, and every entry
-    of both sides is compared against it. Raises ModelInconsistencyError if
-    the largest residual |op(g)op(h) - c op(gh)| exceeds
-    1e-6 max(1, max |op(g)op(h)|). Two monomial sides are compared in O(M);
-    otherwise both sides are built over identity column blocks, so memory
-    is O(M B) for blocks of B columns and no M x M array is built.
+    op(gh) is never zero. Column 0 of each side is its action on the unit
+    vector e_0; c is read off the largest entry of op(gh) e_0, and every
+    entry of both sides is compared against it. Raises
+    ModelInconsistencyError if the largest residual
+    |op(g)op(h) - c op(gh)| exceeds 1e-6 max(1, max |op(g)op(h)|). Two
+    monomial sides are compared in O(M); otherwise both sides are built
+    over identity column blocks, so memory is O(M B) for blocks of B
+    columns and no M x M array is built.
     """
     act_g = word_action(model, canonical_word(g), chi=chi, extended=True)
     act_h = word_action(model, canonical_word(h), chi=chi, extended=True)
     act_gh = word_action(model, canonical_word(g.compose(h)), chi=chi, extended=True)
     act_prod = _chain(act_h, act_g)
-    first = np.zeros(1, dtype=np.int64)
-    prod = _column_source(model, act_prod)(first)[:, 0]
-    ogh = _column_source(model, act_gh)(first)[:, 0]
+    e0 = _unit_columns(model.size, [0])
+    prod, ogh = act_prod(e0)[:, 0], act_gh(e0)[:, 0]
     r = int(np.argmax(np.abs(ogh)))
     if abs(ogh[r]) < OP_TOL:
         raise ModelInconsistencyError("product word operator vanished")
@@ -515,7 +522,7 @@ def central_word_check(model: FiniteWeilModel, a, chi) -> bool:
     word = word_action(model, [("t", a), ("d", a)], chi=chi)
     value = chi.value(a)
     central = _letter(model, ("central", a), chi_value=value)
-    scalar = _Monomial(complex(value) * mu(a, model.psi).value(), np.arange(model.size))
+    scalar = _Monomial(complex(value) * mu(a, model.psi).value(), model._indices)
     return _actions_agree(model, word, scalar) and _actions_agree(model, central, scalar)
 
 
@@ -561,7 +568,7 @@ def twist_intertwiner_check(a, model: FiniteWeilModel) -> bool:
     for c in (2, -1) + deep:
         c = as_fraction(c)
         sign = hilbert(a, c, model.place)
-        lhs = _chain(_letter(model, ("t", c)), _Monomial(sign, np.arange(model.size)))
+        lhs = _chain(_letter(model, ("t", c)), _Monomial(sign, model._indices))
         rhs = _letter(twisted, ("t", c))
         ok = ok and _actions_agree(model, lhs, rhs)
     croot = _sqrt_fraction(a)

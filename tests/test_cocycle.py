@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaplectic.cocycle import (
     StructuredElement,
     Torus,
     UnramifiedCharacter,
+    _product,
     block_lemmas_check,
     cocycle_identity_check,
     gl2,
@@ -480,6 +481,32 @@ def test_kubota_on_diagonal_and_mixed_slots_hypothesis(a, b, a2, b2, m, place):
     t, d = _one_slot(Torus((a, b))), _one_slot(gl2(a, 0, 0, b))
     assert sigma_eval(t, _one_slot(m), place) == sigma_eval(d, _one_slot(m), place)
     assert sigma_eval(_one_slot(m), t, place) == sigma_eval(_one_slot(m), d, place)
+
+
+def _sum_product(a, b):
+    """The 2x2 product as a sum of entry products, one Fraction operation at
+    a time: the reference for the cleared-denominator integer product."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+    )
+
+
+# int entries, negative entries, and denominators past 2^64
+_WIDE = st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(2**64 + 1, 2**90))
+_BLOCK_ENTRY = st.integers(-9, 9) | _RATIONALS | _WIDE
+_BLOCK = st.tuples(st.tuples(_BLOCK_ENTRY, _BLOCK_ENTRY), st.tuples(_BLOCK_ENTRY, _BLOCK_ENTRY))
+
+
+@given(a=_BLOCK, b=_BLOCK)
+@example(
+    a=((Fraction(-3, 2**64 + 13), 2), (Fraction(2**64 + 13, 7), Fraction(-1, (2**64 + 13) ** 2))),
+    b=((0, Fraction(5, 2**64 + 15)), (-4, Fraction(2**64 + 13, 3))),
+)
+@settings(max_examples=300, deadline=None)
+def test_product_matches_the_sum_form_hypothesis(a, b):
+    got = _product(a, b)
+    assert got == _sum_product(a, b)
+    assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_compose_multiplies_slot_by_slot():

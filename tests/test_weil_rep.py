@@ -866,12 +866,13 @@ NON_BIJECTIVE_HEAD = sl2(3, Fraction(8, 3), 3, 3)
 
 
 def count_ffts(monkeypatch):
+    """Patch the FFT to record, for each call, how many columns it transforms."""
     calls = []
     real = np.fft.ifft
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(X, *args, **kwargs):
+        calls.append(X.shape[1] if X.ndim == 2 else 1)
+        return real(X, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", counting)
     return calls
@@ -983,15 +984,65 @@ def test_fast_paths_see_a_mutated_root():
     assert projective_multiplier(W, LOWER, m) == c
 
 
-def test_lu_pair_runs_without_an_fft(monkeypatch):
+def test_lu_pair_residual_runs_without_an_fft(monkeypatch):
+    # column 0 of each side is its action on e_0, one single-column FFT a
+    # side; the residual of an LU pair is built in closed form
     m = build_model(3, 2)
     lu = (LOWER, sl2(2, 1, 0, Fraction(1, 2)))
     want = [dense_multiplier(*lu, m), dense_multiplier(W, LOWER, m)]
     ffts = count_ffts(monkeypatch)
     assert abs(projective_multiplier(*lu, m) - want[0]) < 1e-12
-    assert ffts == []
+    assert ffts == [1, 1]
+    ffts.clear()
+    # W L has two Fourier stages in op(g) op(h), so its residual streams blocks
     assert abs(projective_multiplier(W, LOWER, m) - want[1]) < 1e-12
-    assert ffts
+    assert max(ffts) > 1
+
+
+def test_multiplier_builds_one_column_source_a_side_and_none_for_monomials(monkeypatch):
+    m = build_model(3, 2)
+    real, built = weil_rep._column_source, []
+
+    def counting(model, act):
+        built.append(act)
+        return real(model, act)
+
+    monkeypatch.setattr(weil_rep, "_column_source", counting)
+    projective_multiplier(sl2(2, 0, 0, Fraction(1, 2)), sl2(-1, 0, 0, -1), m)
+    assert built == []
+    projective_multiplier(LOWER, sl2(2, 1, 0, Fraction(1, 2)), m)
+    assert len(built) == 2
+
+
+def test_model_index_array_refuses_writes():
+    m = build_model(3, 2)
+    assert np.array_equal(m._indices, np.arange(m.size))
+    with pytest.raises(ValueError):
+        m._indices[0] = 1
+    # a letter that gathers by the identity shares the array, and cannot write it
+    letter = weil_rep._letter(m, ("n", 1))
+    assert letter.index is m._indices
+    with pytest.raises(ValueError):
+        letter.index[1] = 0
+    # substitutions are new arrays built from it
+    assert m.scale_indices(2).flags.writeable and m.negate_indices().flags.writeable
+
+
+@pytest.mark.parametrize("p,N", ORACLE_MODELS)
+def test_identity_phase_letter_matches_dense_oracle(p, N):
+    # n(0) adds no stage; operator, parity and a multiplier with an identity
+    # factor (word t(1) n(0)) still agree with the dense oracle
+    m = build_model(p, N)
+    gen = ("n", 0)
+    assert weil_rep._letter(m, gen) == ()
+    assert np.max(np.abs(operator(m, gen) - dense_operator(m, gen))) < 1e-12
+    assert parity_invariance_check(m, gen) is dense_parity(m, gen) is True
+    one = sl2(1, 0, 0, 1)
+    assert canonical_word(one) == [("t", 1), ("n", 0)]
+    for g in _sample_blocks(p, N) + [one]:
+        for pair in ((one, g), (g, one)):
+            got = outcome(projective_multiplier, *pair, m)
+            assert same_outcome(got, outcome(dense_multiplier, *pair, m)), g.rows
 
 
 # column 0: the multiplier reads c there --------------------------------------
